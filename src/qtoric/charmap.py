@@ -79,8 +79,8 @@ def _check_coverage(structure: Structure, cm: CharacteristicMap) -> None:
 
 
 def _cell_det(cm: CharacteristicMap, ordered: Sequence[int]) -> int:
-    cols = [cm.vector(i) for i in ordered]
-    return det_int([[cols[j][i] for j in range(len(cols))] for i in range(len(cols))])
+    # det of the vectors as columns, equal to det of them as rows
+    return det_int([cm.vector(i) for i in ordered])
 
 
 def unimodularity_check(

@@ -8,7 +8,6 @@ assigned depth-first with determinant pruning at every completed cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -16,7 +15,7 @@ from .charmap import CharacteristicMap, Structure, cells_of, num_carriers_of
 from .complexes import OrientationData
 from .cyclic import permutation_parity
 from .errors import NormalizationError, ValidationError
-from .exactnum import det_int, is_primitive
+from .exactnum import adjugate, det_int, is_primitive
 
 GOAL_UNIMODULAR = "unimodular"
 GOAL_ALL_POSITIVE = "all_positive"
@@ -66,44 +65,18 @@ def normalize_map(
         raise ValidationError("base vertex tuple has wrong length")
     cols = [cm.vector(i) for i in base_ordered]
     minor = [[cols[j][i] for j in range(n)] for i in range(n)]
-    d = det_int(minor)
+    adj, d = adjugate(minor)
     if d == 0:
         raise NormalizationError("base-vertex minor is singular")
     if abs(d) != 1:
         raise NormalizationError(f"base-vertex minor has det {d}, not +-1")
-    inverse = _unimodular_inverse(minor, d)
+    # inverse = adj / det = det * adj, since det = +-1
     new_vectors = []
     for v in cm.vectors:
         new_vectors.append(
-            tuple(sum(inverse[i][k] * v[k] for k in range(n)) for i in range(n))
+            tuple(d * sum(adj[i][k] * v[k] for k in range(n)) for i in range(n))
         )
     return CharacteristicMap(n, tuple(new_vectors))
-
-
-def _unimodular_inverse(m: List[List[int]], det: int) -> List[List[int]]:
-    """Integer inverse of a matrix with det +-1, via rational elimination."""
-    n = len(m)
-    aug = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise NormalizationError("inverse is not integral")
-        out.append([int(x) for x in row])
-    return out
 
 
 def candidate_vectors(rank: int, bound: int) -> List[Tuple[int, ...]]:
@@ -195,9 +168,8 @@ def search(
     result = SearchResult()
 
     def cell_ok(ci: int) -> bool:
-        ordered = tuples[ci]
-        cols = [assignment[i] for i in ordered]
-        d = det_int([[cols[j][i] for j in range(n)] for i in range(n)])
+        # the columns in positive order, passed as rows: det M^T = det M
+        d = det_int([assignment[i] for i in tuples[ci]])
         if config.goal == GOAL_ALL_POSITIVE:
             return d == 1
         return abs(d) == 1

@@ -520,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="additional document file",
             )
         p.add_argument("--output", help="write the report to a file")
-        p.add_argument("--jobs", type=int, default=1, help="worker count (results are identical for any value)")
         p.set_defaults(func=func)
         return p
 

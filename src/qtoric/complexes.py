@@ -88,23 +88,6 @@ class SimplePolytope:
             tuple(frozenset(int(f) for f in v) for v in vertices),
         )
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """Pairs of vertex positions (0-based) sharing dimension-1 facets."""
-        out = []
-        for i, j in combinations(range(len(self.vertices)), 2):
-            if len(self.vertices[i] & self.vertices[j]) == self.dimension - 1:
-                out.append((i, j))
-        return out
-
-    def facet_adjacency(self) -> List[Tuple[int, int]]:
-        """Facet pairs meeting along an edge of the polytope."""
-        pairs = set()
-        for i, j in self.edges():
-            shared = self.vertices[i] & self.vertices[j]
-            for a, b in combinations(sorted(shared), 2):
-                pairs.add((a, b))
-        return sorted(pairs)
-
 
 @dataclass(frozen=True)
 class OrientationData:

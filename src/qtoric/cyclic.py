@@ -8,7 +8,6 @@ is evaluated only at multiples of pi/4, where every coordinate is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,38 +22,38 @@ from .errors import (
     ValidationError,
 )
 from .exactnum import (
+    SQRT2_HALF_ROOT,
     SQRT2_ONE,
     SQRT2_ZERO,
     Sqrt2Number,
     coerce_sqrt2,
     det_field,
     matrix_rank,
+    row_reduce,
     solve_linear,
     strict_feasibility,
 )
 
-_HALF_ROOT = Sqrt2Number(Fraction(0), Fraction(1, 2))  # sqrt(2)/2
-
 # cos and sin at k*pi/4 for k = 0..7
 _COS = {
     0: SQRT2_ONE,
-    1: _HALF_ROOT,
+    1: SQRT2_HALF_ROOT,
     2: SQRT2_ZERO,
-    3: -_HALF_ROOT,
+    3: -SQRT2_HALF_ROOT,
     4: -SQRT2_ONE,
-    5: -_HALF_ROOT,
+    5: -SQRT2_HALF_ROOT,
     6: SQRT2_ZERO,
-    7: _HALF_ROOT,
+    7: SQRT2_HALF_ROOT,
 }
 _SIN = {
     0: SQRT2_ZERO,
-    1: _HALF_ROOT,
+    1: SQRT2_HALF_ROOT,
     2: SQRT2_ONE,
-    3: _HALF_ROOT,
+    3: SQRT2_HALF_ROOT,
     4: SQRT2_ZERO,
-    5: -_HALF_ROOT,
+    5: -SQRT2_HALF_ROOT,
     6: -SQRT2_ONE,
-    7: -_HALF_ROOT,
+    7: -SQRT2_HALF_ROOT,
 }
 
 Vector = Tuple[Sqrt2Number, ...]
@@ -136,31 +135,11 @@ def _affine_functional(points: Sequence[Vector]) -> Tuple[Vector, Sqrt2Number]:
     d = len(points[0])
     if len(points) != d:
         raise DegeneracyError(f"need exactly {d} points, got {len(points)}")
-    rows = [[coerce_sqrt2(x) for x in p] + [SQRT2_ONE] for p in points]
-    cols = d + 1
-    pivots: List[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, d):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col].inverse()
-        rows[rank] = [x * pv for x in rows[rank]]
-        for i in range(d):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < d:
+    rows, pivots, _ = row_reduce([list(p) + [SQRT2_ONE] for p in points])
+    if len(pivots) < d:
         raise DegeneracyError("points are affinely dependent")
-    free = next(c for c in range(cols) if c not in pivots)
-    kernel = [SQRT2_ZERO] * cols
+    free = next(c for c in range(d + 1) if c not in pivots)
+    kernel = [SQRT2_ZERO] * (d + 1)
     kernel[free] = SQRT2_ONE
     for r, col in enumerate(pivots):
         kernel[col] = -rows[r][free]
@@ -283,8 +262,6 @@ def vertex_orientation_tuples(p: PolarPolytope) -> OrientationData:
     needed so that det(e_1 ... e_n) > 0, exactly.
     """
     poly = p.polytope
-    n = poly.dimension
-    index_of = {v: i for i, v in enumerate(poly.vertices)}
     tuples = []
     for vi, vertex in enumerate(poly.vertices):
         base = sorted(vertex)
@@ -309,14 +286,11 @@ def vertex_orientation_tuples(p: PolarPolytope) -> OrientationData:
                     for a, b in zip(p.vertex_coords[neighbor], p.vertex_coords[vi])
                 )
             )
-        # determinant of the matrix whose columns are the edge vectors
-        det = det_field(
-            [[edge_vectors[j][i] for j in range(n)] for i in range(n)]
-        )
-        s = det.sign()
-        if s == 0:
+        # det of the edge vectors as columns, equal to det of them as rows
+        det = det_field(edge_vectors)
+        if det == 0:
             raise IncidenceError(f"degenerate edge vectors at vertex {base}")
-        if s > 0:
+        if det > 0:
             tuples.append(tuple(base))
         else:
             tuples.append((base[1], base[0]) + tuple(base[2:]))

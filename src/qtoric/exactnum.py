@@ -1,10 +1,12 @@
 """Exact scalar and linear-algebra kernel.
 
 Everything here is exact: arbitrary-precision rationals (stdlib Fraction),
-the quadratic field Q(sqrt 2), fraction-free integer determinants, GF(2)
-linear systems with infeasibility certificates, and a strict-feasibility
-rational LP (phase-1 simplex with Bland's rule).  No floating point is used
-anywhere in a decision path.
+the quadratic field Q(sqrt 2), fraction-free integer determinants and
+adjugates, one Gauss-Jordan reduction over Q or Q(sqrt 2), GF(2) linear
+systems with infeasibility certificates, and a strict-feasibility LP
+(phase-1 simplex with Bland's rule).  Field routines work in Q when every
+input is an int or Fraction and in Q(sqrt 2) when any input is a
+Sqrt2Number.  No floating point is used anywhere in a decision path.
 """
 
 from __future__ import annotations
@@ -12,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, SingularMatrixError
-
-# The stdlib Fraction is already an exact big rational stored in lowest terms
-# with positive denominator, which is exactly the BigRational contract.
-BigRational = Fraction
 
 Rationalish = Union[int, Fraction]
 
@@ -106,9 +104,6 @@ class Sqrt2Number:
     def is_zero(self) -> bool:
         return self.rat == 0 and self.sqrt2 == 0
 
-    def is_rational(self) -> bool:
-        return self.sqrt2 == 0
-
     def to_fraction(self) -> Fraction:
         if self.sqrt2 != 0:
             raise ValueError(f"{self} is not rational")
@@ -127,17 +122,22 @@ class Sqrt2Number:
     def __hash__(self) -> int:
         return hash((self.rat, self.sqrt2))
 
+    def _cmp(self, other) -> int:
+        """Sign of self - other; comparing with zero needs no subtraction."""
+        o = coerce_sqrt2(other)
+        return (self - o).sign() if o else self.sign()
+
     def __lt__(self, other) -> bool:
-        return (self - coerce_sqrt2(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other) -> bool:
-        return (self - coerce_sqrt2(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - coerce_sqrt2(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other) -> bool:
-        return (self - coerce_sqrt2(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         return f"({self.rat} + {self.sqrt2}*sqrt2)"
@@ -165,57 +165,11 @@ def sign_sqrt2(x: Sqrt2Number) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix in row-major order."""
-
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise DimensionError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        c = len(cols)
-        r = len(cols[0]) if c else 0
-        if any(len(col) != r for col in cols):
-            raise DimensionError("ragged columns")
-        return cls(r, c, tuple(cols[j][i] for i in range(r) for j in range(c)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> List[List[int]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
-
-def det_int(m: Union[IntMatrix, Sequence[Sequence[int]]]) -> int:
+def det_int(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    if isinstance(m, IntMatrix):
-        if m.rows != m.cols:
-            raise DimensionError(f"determinant of {m.rows}x{m.cols} matrix")
-        a = m.row_lists()
-    else:
-        a = [[int(x) for x in row] for row in m]
-        if any(len(row) != len(a) for row in a):
-            raise DimensionError("determinant of non-square matrix")
+    a = [[int(x) for x in row] for row in m]
+    if any(len(row) != len(a) for row in a):
+        raise DimensionError("determinant of non-square matrix")
     n = len(a)
     if n == 0:
         return 1
@@ -237,6 +191,26 @@ def det_int(m: Union[IntMatrix, Sequence[Sequence[int]]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """Integer adjugate and determinant, so that m * adj = det * I.
+
+    adj[j][i] is the (i, j) cofactor, each a det_int of a minor; det is the
+    Laplace expansion of the first row over those cofactors.
+    """
+    a = [[int(x) for x in row] for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DimensionError("adjugate of non-square matrix")
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rest = a[:i] + a[i + 1 :]
+        for j in range(n):
+            minor = [row[:j] + row[j + 1 :] for row in rest]
+            adj[j][i] = (-1) ** (i + j) * det_int(minor)
+    det = sum(a[0][j] * adj[j][0] for j in range(n)) if n else 1
+    return adj, det
+
+
 def is_primitive(vector: Sequence[int]) -> bool:
     g = 0
     for x in vector:
@@ -245,105 +219,88 @@ def is_primitive(vector: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving over Q(sqrt 2)
+# Exact linear algebra over Q or Q(sqrt 2)
 # ---------------------------------------------------------------------------
 
 
-def solve_linear(
-    a: Sequence[Sequence], b: Sequence
-) -> Tuple[Sqrt2Number, ...]:
-    """Solve a square system exactly in Q(sqrt 2) by Gaussian elimination.
+def _field_of(values: Iterable) -> Callable:
+    """The converter into the field of the data: coerce_sqrt2 when any value
+    is a Sqrt2Number, Fraction (ints and Fractions only) otherwise."""
+    if any(isinstance(x, Sqrt2Number) for x in values):
+        return coerce_sqrt2
+    return _frac
+
+
+def row_reduce(a: Sequence[Sequence]) -> Tuple[List[List], List[int], object]:
+    """Gauss-Jordan reduction to reduced row echelon form, exactly.
+
+    Works in the field of the entries (see _field_of).  Returns (rows,
+    pivot columns, det): the first len(pivots) rows are the nonzero rows
+    of the reduced form, and det is the determinant when the matrix is
+    square (zero when it is singular, and zero when it is not square).
+    """
+    if not a:
+        return [], [], _frac(1)
+    field = _field_of(x for row in a for x in row)
+    m = [[field(x) for x in row] for row in a]
+    num_rows, num_cols = len(m), len(m[0])
+    if any(len(row) != num_cols for row in m):
+        raise DimensionError("ragged rows")
+    det = field(1)
+    pivots: List[int] = []
+    for col in range(num_cols):
+        rank = len(pivots)
+        if rank == num_rows:
+            break
+        pivot = next((i for i in range(rank, num_rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        # columns left of col are already zero in the pivot row, and the
+        # update skips zero entries: both matter for sparse Q(sqrt 2) data
+        row = m[rank]
+        det = det * row[col]
+        inv = field(1) / row[col]
+        row[col:] = [x * inv if x else x for x in row[col:]]
+        for i in range(num_rows):
+            f = m[i][col]
+            if i != rank and f:
+                m[i][col:] = [
+                    x - f * y if y else x for x, y in zip(m[i][col:], row[col:])
+                ]
+        pivots.append(col)
+    if num_rows != num_cols or len(pivots) < num_rows:
+        det = field(0)
+    return m, pivots, det
+
+
+def solve_linear(a: Sequence[Sequence], b: Sequence) -> Tuple:
+    """Solve a square system exactly in the field of its data.
 
     Raises SingularMatrixError carrying the rank when a is not invertible.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionError("solve_linear needs a square system")
-    aug = [
-        [coerce_sqrt2(x) for x in row] + [coerce_sqrt2(b[i])]
-        for i, row in enumerate(a)
-    ]
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, n):
-            if not aug[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for i in range(n):
-            if i != rank and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        rank += 1
+    rows, pivots, _ = row_reduce([list(row) + [b[i]] for i, row in enumerate(a)])
+    rank = sum(1 for col in pivots if col < n)
     if rank < n:
         raise SingularMatrixError(rank)
-    # rows are now a permuted identity; read the solution off by pivot column
-    x: List[Optional[Sqrt2Number]] = [None] * n
-    for row in aug:
-        for col in range(n):
-            if not row[col].is_zero():
-                x[col] = row[n]
-                break
-    return tuple(v if v is not None else SQRT2_ZERO for v in x)
+    return tuple(row[n] for row in rows)
 
 
-def det_field(a: Sequence[Sequence]) -> Sqrt2Number:
-    """Exact determinant over Q(sqrt 2) by elimination with row swaps."""
-    n = len(a)
-    if any(len(row) != n for row in a):
+def det_field(a: Sequence[Sequence]):
+    """Exact determinant over the field of the entries."""
+    if any(len(row) != len(a) for row in a):
         raise DimensionError("determinant of non-square matrix")
-    m = [[coerce_sqrt2(x) for x in row] for row in a]
-    det = SQRT2_ONE
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not m[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return SQRT2_ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for i in range(col + 1, n):
-            if not m[i][col].is_zero():
-                f = m[i][col] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return det
+    return row_reduce(a)[2]
 
 
 def matrix_rank(a: Sequence[Sequence]) -> int:
-    """Rank over Q(sqrt 2), exact."""
-    m = [[coerce_sqrt2(x) for x in row] for row in a]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if not m[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
-        for i in range(rank + 1, rows):
-            if not m[i][col].is_zero():
-                f = m[i][col] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Exact rank over the field of the entries."""
+    return len(row_reduce(a)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -445,46 +402,42 @@ def gf2_solve(system: Gf2System) -> Gf2Result:
 # ---------------------------------------------------------------------------
 
 
-def _phase1_simplex(
-    rows: List[List[Sqrt2Number]], rhs: List[Sqrt2Number]
-) -> Optional[List[Sqrt2Number]]:
+def _phase1_simplex(rows: List[List], rhs: List, field: Callable) -> Optional[List]:
     """Find x >= 0 with A x = b exactly, or None if infeasible.
 
     Phase-1 simplex with Bland's rule (lowest eligible index), which
-    guarantees termination.  All arithmetic is in Q(sqrt 2).
+    guarantees termination.  The entries are all of one field type and
+    `field` converts the tableau's constants into it.
     """
+    zero, one = field(0), field(1)
     m = len(rows)
     n = len(rows[0]) if m else 0
     tab = []
     for i in range(m):
         row = list(rows[i])
         b = rhs[i]
-        if b.sign() < 0:
+        if b < 0:
             row = [-x for x in row]
             b = -b
-        unit = [SQRT2_ONE if j == i else SQRT2_ZERO for j in range(m)]
+        unit = [one if j == i else zero for j in range(m)]
         tab.append(row + unit + [b])
     basis = [n + i for i in range(m)]
     width = n + m
     # reduced-cost row for minimizing the sum of artificials
-    obj = [SQRT2_ZERO] * (width + 1)
+    obj = [zero] * (width + 1)
     for j in range(n):
-        obj[j] = -sum((tab[i][j] for i in range(m)), SQRT2_ZERO)
-    obj[width] = -sum((tab[i][width] for i in range(m)), SQRT2_ZERO)
+        obj[j] = -sum((tab[i][j] for i in range(m)), zero)
+    obj[width] = -sum((tab[i][width] for i in range(m)), zero)
 
     while True:
-        entering = None
-        for j in range(width):
-            if obj[j].sign() < 0:
-                entering = j
-                break
+        entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
         leaving = None
         best = None
         for i in range(m):
             coef = tab[i][entering]
-            if coef.sign() > 0:
+            if coef > 0:
                 ratio = tab[i][width] / coef
                 if (
                     best is None
@@ -496,20 +449,20 @@ def _phase1_simplex(
         if leaving is None:
             # phase-1 objective is bounded below by 0; unreachable
             raise AssertionError("unbounded phase-1 simplex")
-        pv = tab[leaving][entering]
-        tab[leaving] = [x / pv for x in tab[leaving]]
+        inv = one / tab[leaving][entering]
+        tab[leaving] = [x * inv for x in tab[leaving]]
         for i in range(m):
-            if i != leaving and not tab[i][entering].is_zero():
-                f = tab[i][entering]
+            f = tab[i][entering]
+            if i != leaving and f:
                 tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
-        if not obj[entering].is_zero():
-            f = obj[entering]
+        f = obj[entering]
+        if f:
             obj = [x - f * y for x, y in zip(obj, tab[leaving])]
         basis[leaving] = entering
 
-    if obj[width].sign() != 0:  # optimum = -obj[width]
+    if obj[width]:  # optimum = -obj[width] > 0
         return None
-    x = [SQRT2_ZERO] * n
+    x = [zero] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i][width]
@@ -519,7 +472,7 @@ def _phase1_simplex(
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
-    witness: Optional[Tuple[Sqrt2Number, ...]]
+    witness: Optional[Tuple]
 
 
 def strict_feasibility(
@@ -532,14 +485,22 @@ def strict_feasibility(
     `equations` is a list of (coefficients, rhs) with variables labeled
     1..num_vars; variables in `strict_positive` must be > 0, the rest are
     free.  Strict variables are substituted v = 1 + s with s >= 0 and free
-    variables v = u - w, then an exact phase-1 simplex decides feasibility.
-    The substitution is lossless for positively homogeneous systems (cones),
-    which is how every caller in this package uses it.
+    variables v = u - w, then an exact phase-1 simplex decides feasibility
+    in the field of the data (see _field_of), which is also the field of
+    the witness.  The substitution is lossless for positively homogeneous
+    systems (cones), which is how every caller in this package uses it.
     """
     strict = set(int(v) for v in strict_positive)
     for v in strict:
         if not 1 <= v <= num_vars:
             raise DimensionError(f"variable {v} out of range 1..{num_vars}")
+    for coeffs, _ in equations:
+        if len(coeffs) != num_vars:
+            raise DimensionError("coefficient row has wrong length")
+    field = _field_of(
+        [b for _, b in equations] + [c for coeffs, _ in equations for c in coeffs]
+    )
+    zero, one = field(0), field(1)
     # column layout: one slack per strict var, (u, w) pair per free var
     columns: List[Tuple[int, int]] = []  # (variable, +1/-1 multiplier)
     for v in range(1, num_vars + 1):
@@ -548,21 +509,19 @@ def strict_feasibility(
         else:
             columns.append((v, 1))
             columns.append((v, -1))
-    rows: List[List[Sqrt2Number]] = []
-    rhs: List[Sqrt2Number] = []
+    rows: List[List] = []
+    rhs: List = []
     for coeffs, b in equations:
-        if len(coeffs) != num_vars:
-            raise DimensionError("coefficient row has wrong length")
-        cs = [coerce_sqrt2(c) for c in coeffs]
-        shift = sum((cs[v - 1] for v in strict), SQRT2_ZERO)
+        cs = [field(c) for c in coeffs]
+        shift = sum((cs[v - 1] for v in strict), zero)
         rows.append([cs[var - 1] * mult for var, mult in columns])
-        rhs.append(coerce_sqrt2(b) - shift)
-    x = _phase1_simplex(rows, rhs) if rows else [SQRT2_ZERO] * len(columns)
+        rhs.append(field(b) - shift)
+    x = _phase1_simplex(rows, rhs, field) if rows else [zero] * len(columns)
     if x is None:
         return FeasibilityResult(False, None)
-    witness = [SQRT2_ZERO] * num_vars
+    witness = [zero] * num_vars
     for value, (var, mult) in zip(x, columns):
         witness[var - 1] = witness[var - 1] + (value if mult > 0 else -value)
     for v in strict:
-        witness[v - 1] = witness[v - 1] + SQRT2_ONE
+        witness[v - 1] = witness[v - 1] + one
     return FeasibilityResult(True, tuple(witness))

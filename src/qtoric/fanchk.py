@@ -13,12 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charmap import CharacteristicMap, Structure, cells_of
 from .errors import ConeDegeneracyError, ValidationError
-from .exactnum import (
-    Sqrt2Number,
-    coerce_sqrt2,
-    det_int,
-    strict_feasibility,
-)
+from .exactnum import adjugate, det_int, strict_feasibility
 
 
 @dataclass(frozen=True)
@@ -48,10 +43,8 @@ class SimplicialCone:
         return abs(self.det()) == 1
 
     def det(self) -> int:
-        n = len(self.generators)
-        return det_int(
-            [[self.generators[j][i] for j in range(n)] for i in range(n)]
-        )
+        # generators as rows: the transpose, with the same determinant
+        return det_int(self.generators)
 
     def matrix_rows(self) -> List[List[int]]:
         """Rows of the generator matrix (generators as columns)."""
@@ -69,21 +62,10 @@ def cone_membership(
     n = c.dim
     if len(point) != n:
         raise ValidationError("point dimension does not match the cone")
-    # solve by exact rational elimination; unimodularity keeps this integral
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(point[i])]
-        for i, row in enumerate(c.matrix_rows())
-    ]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    coeffs = tuple(aug[i][n] for i in range(n))
+    # G x = point, so x = adj(G) point / det(G); exact for any point
+    adj, det = adjugate(c.matrix_rows())
+    p = [Fraction(x) for x in point]
+    coeffs = tuple(sum(a * x for a, x in zip(row, p)) / det for row in adj)
     inside = all(x >= 0 for x in coeffs)
     interior = all(x > 0 for x in coeffs)
     return inside, interior, coeffs
@@ -108,13 +90,9 @@ def cones_overlap_interior(
     result = strict_feasibility(equations, 2 * n, range(1, 2 * n + 1))
     if not result.feasible:
         return False, None
+    # integer data, so the LP ran over Q and the witness ray is rational
     x = result.witness[:n]
-    ray = tuple(
-        sum((coerce_sqrt2(arows[i][j]) * x[j] for j in range(n)), Sqrt2Number())
-        for i in range(n)
-    )
-    # the LP is rational here, so the witness ray is too
-    return True, tuple(v.to_fraction() for v in ray)
+    return True, tuple(sum(g * xj for g, xj in zip(row, x)) for row in arows)
 
 
 def fan_properness(

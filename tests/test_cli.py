@@ -258,8 +258,3 @@ class TestErrorsAndOutput:
         )
         assert code == EXIT_OK
         assert report["verdict"] == "pass"
-
-    def test_jobs_flag_does_not_change_results(self, capsys):
-        _, report1, _ = run_json(capsys, "signs", "fixtures:d47", "--jobs", "1")
-        _, report4, _ = run_json(capsys, "signs", "fixtures:d47", "--jobs", "4")
-        assert report1 == report4

@@ -9,11 +9,14 @@ import pytest
 from qtoric.errors import DimensionError, SingularMatrixError
 from qtoric.exactnum import (
     Gf2System,
-    IntMatrix,
     Sqrt2Number,
+    adjugate,
     coerce_sqrt2,
+    det_field,
     det_int,
     gf2_solve,
+    matrix_rank,
+    row_reduce,
     sign_sqrt2,
     solve_linear,
     strict_feasibility,
@@ -68,12 +71,132 @@ class TestDetInt:
             ]
             assert det_int(flipped) == -det_int(m)
 
-    def test_int_matrix_wrapper(self):
-        m = IntMatrix.from_columns([(0, -1), (1, 1)])
-        assert det_int(m) == 1
-        with pytest.raises(DimensionError):
-            det_int(IntMatrix.from_rows([[1, 2, 3]]))
 
+
+def random_int_matrices(seed, count=30):
+    """Random integer matrices of size 1-5; a third of them made singular."""
+    rng = random.Random(seed)
+    for n in range(1, 6):
+        for k in range(count):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 0:
+                # last row = sum of the others (zero row when n = 1)
+                m[-1] = [sum(row[j] for row in m[:-1]) for j in range(n)]
+            yield m
+
+
+class TestAdjugate:
+    def test_product_is_det_times_identity(self):
+        singular = 0
+        for m in random_int_matrices(19):
+            n = len(m)
+            adj, det = adjugate(m)
+            assert det == det_cofactor(m)
+            singular += det == 0
+            for i in range(n):
+                for j in range(n):
+                    left = sum(m[i][k] * adj[k][j] for k in range(n))
+                    right = sum(adj[i][k] * m[k][j] for k in range(n))
+                    want = det if i == j else 0
+                    assert left == want and right == want
+        assert singular >= 50
+
+    def test_unimodular_inverse_is_integral(self):
+        m = [[0, 1], [-1, 1]]
+        adj, det = adjugate(m)
+        assert det == 1 and adj == [[1, -1], [1, 0]]
+
+    def test_empty_and_non_square(self):
+        assert adjugate([]) == ([], 1)
+        with pytest.raises(DimensionError):
+            adjugate([[1, 2]])
+
+
+class TestSympyCrossCheck:
+    def test_det_and_adjugate_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for m in random_int_matrices(23, count=10):
+            ref = sympy.Matrix(m)
+            adj, det = adjugate(m)
+            assert det_int(m) == det == int(ref.det())
+            assert sympy.Matrix(adj) == ref.adjugate()
+
+
+class TestRowReduce:
+    def test_reduced_form_pivots_and_det(self):
+        rows, pivots, det = row_reduce([[0, 2, 4], [1, 1, 1], [2, 4, 6]])
+        assert pivots == [0, 1]
+        assert rows[:2] == [[1, 0, -1], [0, 1, 2]]
+        assert rows[2] == [0, 0, 0]
+        assert det == 0
+        assert row_reduce([[0, 2], [3, 1]])[2] == -6
+
+    def test_rank_over_both_fields(self):
+        root = Sqrt2Number.of(0, 1)
+        assert matrix_rank([[1, 2], [2, 4]]) == 1
+        assert matrix_rank([[root, 2], [1, root]]) == 1  # row 1 = sqrt2 * row 2
+        assert matrix_rank([[root, 1], [1, root]]) == 2
+        assert matrix_rank([]) == 0
+
+
+class TestFieldIndependence:
+    """A rational system gives equal answers as ints and embedded in Q(sqrt 2),
+    and the rational run stays in Fraction."""
+
+    @staticmethod
+    def embed(m):
+        return [[Sqrt2Number.of(x) for x in row] for row in m]
+
+    def test_det_and_solve(self):
+        rng = random.Random(31)
+        solved = 0
+        for m in random_int_matrices(37, count=10):
+            det = det_field(m)
+            assert type(det) is Fraction
+            assert det == det_int(m) == det_field(self.embed(m))
+            b = [rng.randint(-3, 3) for _ in m]
+            try:
+                x = solve_linear(m, b)
+            except SingularMatrixError as err:
+                with pytest.raises(SingularMatrixError) as err2:
+                    solve_linear(self.embed(m), [Sqrt2Number.of(v) for v in b])
+                assert err.rank == err2.value.rank
+                continue
+            assert all(type(v) is Fraction for v in x)
+            y = solve_linear(self.embed(m), [Sqrt2Number.of(v) for v in b])
+            assert all(type(v) is Sqrt2Number for v in y)
+            assert x == y
+            solved += 1
+        assert solved > 0
+
+    def test_strict_feasibility(self):
+        rng = random.Random(41)
+        feasible = 0
+        for _ in range(40):
+            num_vars = rng.randint(2, 5)
+            eqs = [
+                ([rng.randint(-2, 2) for _ in range(num_vars)], rng.randint(-1, 1))
+                for _ in range(rng.randint(1, 3))
+            ]
+            strict = [v for v in range(1, num_vars + 1) if rng.random() < 0.7]
+            rational = strict_feasibility(eqs, num_vars, strict)
+            embedded = strict_feasibility(
+                [([Sqrt2Number.of(c) for c in cs], Sqrt2Number.of(b)) for cs, b in eqs],
+                num_vars,
+                strict,
+            )
+            assert rational == embedded
+            if rational.feasible:
+                feasible += 1
+                assert all(type(w) is Fraction for w in rational.witness)
+                assert all(type(w) is Sqrt2Number for w in embedded.witness)
+        assert feasible > 0
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            det_field([[0.5]])
+        with pytest.raises(TypeError):
+            strict_feasibility([([1.0, -1], 0)], 2, [1, 2])
 
 class TestSqrt2:
     def test_sign_examples(self):
@@ -236,7 +359,7 @@ class TestStrictFeasibility:
         result = strict_feasibility([([1, -1], 0)], 2, [1, 2])
         assert result.feasible
         x, y = result.witness
-        assert x == y and x.sign() > 0
+        assert x == y and x > 0
 
     def test_opposite_cones_infeasible(self):
         # cone(e1,e2) vs cone(-e1,e2): x1 + 0 = -y1, x2 = y2 with all > 0
@@ -264,4 +387,4 @@ class TestStrictFeasibility:
                         acc = acc + coerce_sqrt2(c) * w
                     assert acc == coerce_sqrt2(rhs)
                 for v in strict:
-                    assert result.witness[v - 1].sign() > 0
+                    assert result.witness[v - 1] > 0
