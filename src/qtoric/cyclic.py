@@ -1,8 +1,12 @@
 """Trigonometric cyclic 4-polytopes, Gale's evenness condition, and polars.
 
-All geometry lives in Q(sqrt 2): the curve (cos u, sin u, cos 2u, sin 2u)
-is evaluated only at multiples of pi/4, where every coordinate is
-0, +-1 or +-sqrt(2)/2.
+The curve (cos u, sin u, cos 2u, sin 2u) is evaluated only at multiples of
+pi/4, where every coordinate is 0, +-1 or +-sqrt(2)/2, so its points lie in
+Q(sqrt 2).  Hull, polar and orientation geometry run in the field of the
+points: Q for rational point sets, Q(sqrt 2) for curve points.  One pass over
+the supporting hyperplanes of the hull gives the facets, the origin test and
+the polar vertices; the vertex orientations come from facet-point
+determinants.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from .complexes import OrientationData, SimplePolytope, SimplicialComplex, duali
 from .errors import (
     DegeneracyError,
     FieldCoverageError,
-    IncidenceError,
     PolarityError,
     RankError,
     RealizationInconsistencyError,
@@ -26,12 +29,9 @@ from .exactnum import (
     SQRT2_ONE,
     SQRT2_ZERO,
     Sqrt2Number,
-    coerce_sqrt2,
     det_field,
     matrix_rank,
     row_reduce,
-    solve_linear,
-    strict_feasibility,
 )
 
 # cos and sin at k*pi/4 for k = 0..7
@@ -126,24 +126,72 @@ def gale_facets(n: int, d: int = 4) -> List[Tuple[int, ...]]:
     return out
 
 
-def _affine_functional(points: Sequence[Vector]) -> Tuple[Vector, Sqrt2Number]:
+def _affine_functional(points: Sequence[Vector]) -> Tuple[Vector, object]:
     """Hyperplane <a, x> + c = 0 through d affinely independent points in R^d.
 
-    Returns (a, c), a nonzero kernel vector of the homogenized point matrix.
-    Raises DegeneracyError when the points are affinely dependent.
+    Returns (a, c), a nonzero kernel vector of the homogenized point matrix,
+    in the field of the points.  Raises DegeneracyError when the points are
+    affinely dependent.
     """
     d = len(points[0])
     if len(points) != d:
         raise DegeneracyError(f"need exactly {d} points, got {len(points)}")
-    rows, pivots, _ = row_reduce([list(p) + [SQRT2_ONE] for p in points])
+    rows, pivots, _ = row_reduce([list(p) + [1] for p in points])
     if len(pivots) < d:
         raise DegeneracyError("points are affinely dependent")
     free = next(c for c in range(d + 1) if c not in pivots)
-    kernel = [SQRT2_ZERO] * (d + 1)
-    kernel[free] = SQRT2_ONE
+    # d pivots and one free column: every entry is set below, and a pivot
+    # entry of the reduced rows is the field's 1
+    kernel = [rows[0][pivots[0]]] * (d + 1)
     for r, col in enumerate(pivots):
         kernel[col] = -rows[r][free]
     return tuple(kernel[:d]), kernel[d]
+
+
+def _supporting_hyperplane(points: Sequence[Vector], subset: Sequence[int]):
+    """The hyperplane through the points of `subset` (1-based), if it supports.
+
+    Returns (a, c, simplicial) scaled so that <a, p> + c >= 0 for every
+    point, with some point off the hyperplane; simplicial is True when no
+    point outside `subset` lies on it.  Returns None when points lie
+    strictly on both sides, or all on the hyperplane.  Raises
+    DegeneracyError when the subset is affinely dependent.
+    """
+    normal, offset = _affine_functional([points[i - 1] for i in subset])
+    members = set(subset)
+    values = [
+        sum((a * x for a, x in zip(normal, q)), offset)
+        for i, q in enumerate(points, start=1)
+        if i not in members
+    ]
+    if any(v < 0 for v in values):
+        if any(v > 0 for v in values):
+            return None
+        normal, offset, values = tuple(-a for a in normal), -offset, [-v for v in values]
+    elif not any(v > 0 for v in values):
+        return None
+    return normal, offset, all(values)
+
+
+def _supporting_hyperplanes(points: Sequence[Vector]) -> List[Tuple]:
+    """(subset, a, c, simplicial) for every affinely independent d-subset
+    whose hyperplane supports the points, subsets in lexicographic order."""
+    kept = []
+    for subset in combinations(range(1, len(points) + 1), len(points[0])):
+        try:
+            hyperplane = _supporting_hyperplane(points, subset)
+        except DegeneracyError:
+            continue
+        if hyperplane is not None:
+            kept.append((subset,) + hyperplane)
+    return kept
+
+
+def _origin_interior(hyperplanes: Sequence[Tuple]) -> bool:
+    # each facet of a full-dimensional hull holds d affinely independent
+    # points, so the kept hyperplanes are exactly the facet hyperplanes; and
+    # there are none when the hull is not full-dimensional
+    return bool(hyperplanes) and all(offset > 0 for _, _, offset, _ in hyperplanes)
 
 
 def verify_facets_geometric(
@@ -154,43 +202,23 @@ def verify_facets_geometric(
     Solves for the hyperplane through the candidate points and checks that
     every remaining point lies strictly on one common side.
     """
-    return _is_facet([r.points[i - 1] for i in candidate],
-                     [p for i, p in enumerate(r.points, start=1) if i not in set(candidate)])
-
-
-def _is_facet(candidate_points: Sequence[Vector], others: Sequence[Vector]) -> bool:
-    normal, offset = _affine_functional(candidate_points)
-    side = 0
-    for q in others:
-        val = sum((a * x for a, x in zip(normal, q)), offset)
-        s = val.sign()
-        if s == 0:
-            return False
-        if side == 0:
-            side = s
-        elif s != side:
-            return False
-    return side != 0
+    hyperplane = _supporting_hyperplane(r.points, candidate)
+    return hyperplane is not None and hyperplane[2]
 
 
 def contains_origin_interior(r_or_points) -> bool:
     """Whether 0 lies in the interior of the convex hull, exactly.
 
-    Requires the points to span the ambient space; decided by a strict
-    feasibility test for 0 as a positive combination of the points.
+    Requires the points to span the ambient space; decided by the supporting
+    hyperplanes of the hull: 0 is interior iff it lies strictly on the inner
+    side of every one.
     """
     points = r_or_points.points if isinstance(r_or_points, CaratheodoryRealization) else tuple(
-        tuple(coerce_sqrt2(x) for x in p) for p in r_or_points
+        tuple(p) for p in r_or_points
     )
-    d = len(points[0])
-    if matrix_rank(points) < d:
+    if matrix_rank(points) < len(points[0]):
         raise RankError("points do not span the ambient space")
-    n = len(points)
-    equations = [
-        ([p[coord] for p in points], 0) for coord in range(d)
-    ]
-    result = strict_feasibility(equations, n, range(1, n + 1))
-    return result.feasible
+    return _origin_interior(_supporting_hyperplanes(points))
 
 
 @dataclass(frozen=True)
@@ -213,39 +241,38 @@ def build_polar_from_points(
 ) -> PolarPolytope:
     """Polar dual of conv(points) for points spanning R^d with 0 interior.
 
-    Facets are found by the exact supporting-hyperplane test over all
-    d-subsets; polar vertices solve <u, p_i> = 1 over the facet's points.
-    When expected_facets is given the geometric facet list must match it.
+    One pass over all d-subsets finds the supporting hyperplanes
+    <a, x> + c = 0 of the hull; the polar vertex dual to a facet is -a/c,
+    where <u, p_i> = 1 on the facet's points.  Raises DegeneracyError when a
+    facet holds more than d points (the polar is not simple).  When
+    expected_facets is given the geometric facet list must match it.
     """
-    pts: Tuple[Vector, ...] = tuple(
-        tuple(coerce_sqrt2(x) for x in p) for p in points
-    )
+    pts: Tuple[Vector, ...] = tuple(tuple(p) for p in points)
     n = len(pts)
-    d = len(pts[0])
-    if not contains_origin_interior(pts):
+    hyperplanes = _supporting_hyperplanes(pts)
+    if not _origin_interior(hyperplanes):
+        if matrix_rank(pts) < len(pts[0]):
+            raise RankError("points do not span the ambient space")
         raise PolarityError("origin is not interior; polar dual undefined")
-    facets = []
-    for cand in combinations(range(1, n + 1), d):
-        cset = set(cand)
-        others = [p for i, p in enumerate(pts, start=1) if i not in cset]
-        try:
-            if _is_facet([pts[i - 1] for i in cand], others):
-                facets.append(cand)
-        except DegeneracyError:
-            continue
+    for subset, _, _, simplicial in hyperplanes:
+        if not simplicial:
+            raise DegeneracyError(
+                f"the facet through points {list(subset)} holds more points; "
+                "the polar is not simple"
+            )
+    facets = [subset for subset, _, _, _ in hyperplanes]
     if expected_facets is not None:
         if sorted(tuple(sorted(f)) for f in expected_facets) != facets:
             raise RealizationInconsistencyError(
                 "geometric facets disagree with the combinatorial prediction"
             )
-    complex_ = SimplicialComplex.of(n, facets)
-    polytope = dualize(complex_)
-    ones = [SQRT2_ONE] * d
-    coords = []
-    for vertex in polytope.vertices:
-        rows = [pts[i - 1] for i in sorted(vertex)]
-        coords.append(solve_linear(rows, ones))
-    return PolarPolytope(polytope, tuple(coords), pts)
+    polytope = dualize(SimplicialComplex.of(n, facets))
+    dual_vertex = {}
+    for subset, normal, offset, _ in hyperplanes:
+        scale = -1 / offset
+        dual_vertex[frozenset(subset)] = tuple(a * scale for a in normal)
+    coords = tuple(dual_vertex[vertex] for vertex in polytope.vertices)
+    return PolarPolytope(polytope, coords, pts)
 
 
 def build_polar(r: CaratheodoryRealization) -> PolarPolytope:
@@ -257,40 +284,18 @@ def build_polar(r: CaratheodoryRealization) -> PolarPolytope:
 def vertex_orientation_tuples(p: PolarPolytope) -> OrientationData:
     """Positively ordered facet tuples at every vertex of the polar.
 
-    Edge vector k at a vertex points toward the unique neighbor obtained by
-    dropping the k-th facet; the tuple is permuted by one transposition when
-    needed so that det(e_1 ... e_n) > 0, exactly.
+    At the vertex dual to the facet with points P (as rows, in sorted
+    order), the edge leaving polar facet f is column f of -P^-1 times a
+    positive diagonal matrix, so the edge vectors have determinant of sign
+    (-1)^d det P.  The sorted tuple is kept when that sign is positive and
+    otherwise permuted by one transposition.
     """
-    poly = p.polytope
+    d = len(p.facet_points[0])
     tuples = []
-    for vi, vertex in enumerate(poly.vertices):
+    for vertex in p.polytope.vertices:
         base = sorted(vertex)
-        edge_vectors = []
-        for f in base:
-            ridge = vertex - {f}
-            neighbor = None
-            for wi, w in enumerate(poly.vertices):
-                if wi != vi and ridge <= w:
-                    if neighbor is not None:
-                        raise IncidenceError(
-                            f"ridge {sorted(ridge)} has multiple neighbors"
-                        )
-                    neighbor = wi
-            if neighbor is None:
-                raise IncidenceError(
-                    f"vertex {base}: no neighbor across ridge {sorted(ridge)}"
-                )
-            edge_vectors.append(
-                tuple(
-                    a - b
-                    for a, b in zip(p.vertex_coords[neighbor], p.vertex_coords[vi])
-                )
-            )
-        # det of the edge vectors as columns, equal to det of them as rows
-        det = det_field(edge_vectors)
-        if det == 0:
-            raise IncidenceError(f"degenerate edge vectors at vertex {base}")
-        if det > 0:
+        det = det_field([p.facet_points[i - 1] for i in base])
+        if (det > 0) == (d % 2 == 0):
             tuples.append(tuple(base))
         else:
             tuples.append((base[1], base[0]) + tuple(base[2:]))

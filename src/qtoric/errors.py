@@ -9,14 +9,6 @@ class DimensionError(QtoricError):
     """A matrix or vector has the wrong shape for the requested operation."""
 
 
-class SingularMatrixError(QtoricError):
-    """Exact elimination hit a singular matrix; carries the rank found."""
-
-    def __init__(self, rank: int, message: str = ""):
-        self.rank = rank
-        super().__init__(message or f"singular matrix (rank {rank})")
-
-
 class ValidationError(QtoricError):
     """A combinatorial structure violates its invariants."""
 
@@ -52,10 +44,6 @@ class PolarityError(QtoricError):
 
 class RealizationInconsistencyError(QtoricError):
     """Geometric facets disagree with the combinatorial prediction."""
-
-
-class IncidenceError(QtoricError):
-    """Vertex/facet incidence data is inconsistent (e.g. missing neighbor)."""
 
 
 class CoverageError(QtoricError):

@@ -2,11 +2,12 @@
 
 Everything here is exact: arbitrary-precision rationals (stdlib Fraction),
 the quadratic field Q(sqrt 2), fraction-free integer determinants and
-adjugates, one Gauss-Jordan reduction over Q or Q(sqrt 2), GF(2) linear
-systems with infeasibility certificates, and a strict-feasibility LP
-(phase-1 simplex with Bland's rule).  Field routines work in Q when every
-input is an int or Fraction and in Q(sqrt 2) when any input is a
-Sqrt2Number.  No floating point is used anywhere in a decision path.
+adjugates, one Gauss-Jordan reduction over Q or Q(sqrt 2) behind field
+determinants and rank, GF(2) linear systems with infeasibility
+certificates, and a strict-feasibility LP over Q (phase-1 simplex with
+Bland's rule).  The reduction works in Q when every input is an int or
+Fraction and in Q(sqrt 2) when any input is a Sqrt2Number.  No floating
+point is used anywhere in a decision path.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError
 
 Rationalish = Union[int, Fraction]
 
@@ -103,11 +104,6 @@ class Sqrt2Number:
 
     def is_zero(self) -> bool:
         return self.rat == 0 and self.sqrt2 == 0
-
-    def to_fraction(self) -> Fraction:
-        if self.sqrt2 != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.rat
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -276,21 +272,6 @@ def row_reduce(a: Sequence[Sequence]) -> Tuple[List[List], List[int], object]:
     return m, pivots, det
 
 
-def solve_linear(a: Sequence[Sequence], b: Sequence) -> Tuple:
-    """Solve a square system exactly in the field of its data.
-
-    Raises SingularMatrixError carrying the rank when a is not invertible.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise DimensionError("solve_linear needs a square system")
-    rows, pivots, _ = row_reduce([list(row) + [b[i]] for i, row in enumerate(a)])
-    rank = sum(1 for col in pivots if col < n)
-    if rank < n:
-        raise SingularMatrixError(rank)
-    return tuple(row[n] for row in rows)
-
-
 def det_field(a: Sequence[Sequence]):
     """Exact determinant over the field of the entries."""
     if any(len(row) != len(a) for row in a):
@@ -402,14 +383,13 @@ def gf2_solve(system: Gf2System) -> Gf2Result:
 # ---------------------------------------------------------------------------
 
 
-def _phase1_simplex(rows: List[List], rhs: List, field: Callable) -> Optional[List]:
-    """Find x >= 0 with A x = b exactly, or None if infeasible.
+def _phase1_simplex(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List]:
+    """Find x >= 0 with A x = b exactly over Q, or None if infeasible.
 
     Phase-1 simplex with Bland's rule (lowest eligible index), which
-    guarantees termination.  The entries are all of one field type and
-    `field` converts the tableau's constants into it.
+    guarantees termination.
     """
-    zero, one = field(0), field(1)
+    zero, one = Fraction(0), Fraction(1)
     m = len(rows)
     n = len(rows[0]) if m else 0
     tab = []
@@ -486,8 +466,8 @@ def strict_feasibility(
     1..num_vars; variables in `strict_positive` must be > 0, the rest are
     free.  Strict variables are substituted v = 1 + s with s >= 0 and free
     variables v = u - w, then an exact phase-1 simplex decides feasibility
-    in the field of the data (see _field_of), which is also the field of
-    the witness.  The substitution is lossless for positively homogeneous
+    over Q; the data must be ints or Fractions, and the witness is in
+    Fractions.  The substitution is lossless for positively homogeneous
     systems (cones), which is how every caller in this package uses it.
     """
     strict = set(int(v) for v in strict_positive)
@@ -497,10 +477,7 @@ def strict_feasibility(
     for coeffs, _ in equations:
         if len(coeffs) != num_vars:
             raise DimensionError("coefficient row has wrong length")
-    field = _field_of(
-        [b for _, b in equations] + [c for coeffs, _ in equations for c in coeffs]
-    )
-    zero, one = field(0), field(1)
+    zero = Fraction(0)
     # column layout: one slack per strict var, (u, w) pair per free var
     columns: List[Tuple[int, int]] = []  # (variable, +1/-1 multiplier)
     for v in range(1, num_vars + 1):
@@ -512,16 +489,16 @@ def strict_feasibility(
     rows: List[List] = []
     rhs: List = []
     for coeffs, b in equations:
-        cs = [field(c) for c in coeffs]
+        cs = [_frac(c) for c in coeffs]
         shift = sum((cs[v - 1] for v in strict), zero)
         rows.append([cs[var - 1] * mult for var, mult in columns])
-        rhs.append(field(b) - shift)
-    x = _phase1_simplex(rows, rhs, field) if rows else [zero] * len(columns)
+        rhs.append(_frac(b) - shift)
+    x = _phase1_simplex(rows, rhs) if rows else [zero] * len(columns)
     if x is None:
         return FeasibilityResult(False, None)
     witness = [zero] * num_vars
     for value, (var, mult) in zip(x, columns):
         witness[var - 1] = witness[var - 1] + (value if mult > 0 else -value)
     for v in strict:
-        witness[v - 1] = witness[v - 1] + one
+        witness[v - 1] = witness[v - 1] + 1
     return FeasibilityResult(True, tuple(witness))

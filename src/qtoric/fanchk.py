@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charmap import CharacteristicMap, Structure, cells_of
+from .charmap import CharacteristicMap, Structure, _check_coverage, cells_of
 from .errors import ConeDegeneracyError, ValidationError
 from .exactnum import adjugate, det_int, strict_feasibility
 
@@ -131,6 +131,7 @@ def cones_from_charmap(
     structure: Structure, cm: CharacteristicMap
 ) -> Tuple[List[SimplicialCone], List[Tuple[int, int]]]:
     """One cone per cell (generators = its vectors) plus ridge adjacency."""
+    _check_coverage(structure, cm)
     cells = cells_of(structure)
     cones = [
         SimplicialCone.of([cm.vector(i) for i in sorted(cell)]) for cell in cells

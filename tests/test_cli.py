@@ -186,6 +186,15 @@ class TestFanCommands:
         assert len(overlaps) == 83
         assert all("witness_ray" in o for o in overlaps)
 
+    def test_fan_check_rejects_map_of_wrong_length(self, capsys, tmp_path):
+        vectors = [list(v) for v in get_fixture("barnette").charmap.vectors]
+        for wrong in (vectors[:5], vectors + [[1, 0, 0, 0]]):
+            path = tmp_path / "cm.json"
+            path.write_text(json.dumps({"kind": "charmap", "rank": 4, "vectors": wrong}))
+            code, out, err = run(capsys, "fan-check", "fixtures:barnette", str(path))
+            assert code == EXIT_INPUT_ERROR and out == ""
+            assert f"map assigns {len(wrong)} vectors" in err
+
 
 class TestSearchCommand:
     def test_triangle(self, capsys):

@@ -1,5 +1,6 @@
 """Tests for the trigonometric cyclic polytope machinery."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,12 +17,22 @@ from qtoric.cyclic import (
     verify_facets_geometric,
     vertex_orientation_tuples,
 )
+from qtoric.complexes import OrientationData
 from qtoric.errors import (
+    DegeneracyError,
     FieldCoverageError,
+    PolarityError,
     RankError,
+    RealizationInconsistencyError,
     ValidationError,
 )
-from qtoric.exactnum import SQRT2_ZERO, Sqrt2Number, det_field
+from qtoric.exactnum import (
+    SQRT2_ZERO,
+    Sqrt2Number,
+    det_field,
+    matrix_rank,
+    strict_feasibility,
+)
 from qtoric.fixtures import D47_REFERENCE_TUPLES, d47_orientation, d47_polar
 
 HALF_ROOT = Sqrt2Number.of(0, Fraction(1, 2))
@@ -36,6 +47,66 @@ D47_FACET_SETS = {
         (2, 3, 6, 7), (3, 4, 5, 6), (3, 4, 6, 7), (4, 5, 6, 7),
     ]
 }
+
+
+def edge_vector_tuples(p):
+    """Oracle: orientation tuples from the edge vectors of the polar.
+
+    The edge leaving polar facet f at a vertex runs to the unique neighbor
+    that shares every other facet; the sorted tuple is kept when the edge
+    vectors in that order have positive determinant.
+    """
+    poly = p.polytope
+    tuples = []
+    for vi, vertex in enumerate(poly.vertices):
+        base = sorted(vertex)
+        edges = []
+        for f in base:
+            ridge = vertex - {f}
+            (neighbor,) = [
+                wi for wi, w in enumerate(poly.vertices) if wi != vi and ridge <= w
+            ]
+            edges.append(
+                tuple(
+                    a - b
+                    for a, b in zip(p.vertex_coords[neighbor], p.vertex_coords[vi])
+                )
+            )
+        det = det_field(edges)
+        assert det != 0
+        if det > 0:
+            tuples.append(tuple(base))
+        else:
+            tuples.append((base[1], base[0]) + tuple(base[2:]))
+    return OrientationData(tuple(tuples))
+
+
+def lp_origin_interior(points):
+    """Oracle: 0 is interior to the hull of spanning points iff it is a
+    strictly positive combination of them (the LP over Q)."""
+    n, d = len(points), len(points[0])
+    equations = [([p[c] for p in points], 0) for c in range(d)]
+    return strict_feasibility(equations, n, range(1, n + 1)).feasible
+
+
+def random_point_sets(seed, count):
+    """Seeded integer point sets in dimensions 2, 3 and 4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.choice((2, 3, 4))
+        n = rng.randint(d + 1, d + 4)
+        yield [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]
+
+
+def assert_polar_certificate(polar):
+    """<p_i, u> = 1 on the facet dual to u and < 1 off it."""
+    for vertex, u in zip(polar.polytope.vertices, polar.vertex_coords):
+        for i, p in enumerate(polar.facet_points, start=1):
+            value = sum((a * b for a, b in zip(u, p)), 0)
+            if i in vertex:
+                assert value == 1
+            else:
+                assert value < 1
 
 
 class TestCurvePoints:
@@ -121,16 +192,26 @@ class TestOriginInterior:
         with pytest.raises(RankError):
             contains_origin_interior([[1, 0], [2, 0], [-1, 0]])
 
+    def test_agrees_with_lp(self):
+        decided = {True: 0, False: 0}
+        for points in random_point_sets(7, 150):
+            if matrix_rank(points) < len(points[0]):
+                with pytest.raises(RankError):
+                    contains_origin_interior(points)
+                continue
+            answer = contains_origin_interior(points)
+            assert answer == lp_origin_interior(points)
+            decided[answer] += 1
+        assert min(decided.values()) >= 20
+
 
 class TestBuildPolar:
     def test_square(self):
         polar = build_polar_from_points([(1, 0), (0, 1), (-1, 0), (0, -1)])
         assert polar.polytope.num_facets == 4
         assert len(polar.polytope.vertices) == 4
-        coords = {
-            tuple(x.to_fraction() for x in c) for c in polar.vertex_coords
-        }
-        assert coords == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert set(polar.vertex_coords) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert all(type(x) is Fraction for c in polar.vertex_coords for x in c)
 
     def test_cross_polytope_gives_cube(self):
         points = []
@@ -146,6 +227,30 @@ class TestBuildPolar:
         polar = d47_polar()
         assert polar.polytope.num_facets == 7
         assert len(polar.polytope.vertices) == 14
+
+    def test_origin_outside(self):
+        with pytest.raises(PolarityError):
+            build_polar_from_points([(1, 0), (2, 1), (2, -1)])
+
+    def test_rank_deficient(self):
+        with pytest.raises(RankError):
+            build_polar_from_points([(1, 1), (-1, -1), (2, 2)])
+
+    def test_square_pyramid_is_not_simplicial(self):
+        pyramid = [(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (0, 0, 1)]
+        with pytest.raises(DegeneracyError):
+            build_polar_from_points(pyramid)
+
+    def test_cube_is_not_simplicial(self):
+        cube = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+        with pytest.raises(DegeneracyError):
+            build_polar_from_points(cube)
+
+    def test_expected_facets_mismatch(self):
+        square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        build_polar_from_points(square, [(2, 1), (2, 3), (3, 4), (1, 4)])
+        with pytest.raises(RealizationInconsistencyError):
+            build_polar_from_points(square, [(1, 3), (2, 3), (3, 4), (1, 4)])
 
     def test_polar_inner_product_invariant(self):
         polar = d47_polar()
@@ -171,6 +276,33 @@ class TestOrientationTuples:
         for t in computed:
             a, b = t
             assert (b - a) % 4 == 1 or (a - b) % 4 == 1
+
+    def test_agrees_with_edge_vector_oracle(self):
+        # also certifies every polar vertex it builds
+        angle_sets = [tuple(range(n)) for n in range(5, 9)] + [
+            (0, 1, 3, 4, 6), (0, 2, 3, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7),
+        ]
+        compared = 0
+        for ks in angle_sets:
+            r = CaratheodoryRealization.of(ks)
+            try:
+                polar = build_polar_from_points(r.points, gale_facets(r.n, 4))
+            except PolarityError:
+                assert not contains_origin_interior(r)
+                continue
+            assert_polar_certificate(polar)
+            assert vertex_orientation_tuples(polar) == edge_vector_tuples(polar)
+            compared += 1
+        for points in random_point_sets(13, 200):
+            try:
+                polar = build_polar_from_points(points)
+            except (RankError, PolarityError, DegeneracyError, ValidationError):
+                continue
+            assert all(type(x) is Fraction for c in polar.vertex_coords for x in c)
+            assert_polar_certificate(polar)
+            assert vertex_orientation_tuples(polar) == edge_vector_tuples(polar)
+            compared += 1
+        assert compared >= 40
 
     def test_edge_determinants_positive(self):
         polar = d47_polar()
