@@ -2,11 +2,13 @@
 
 The curve (cos u, sin u, cos 2u, sin 2u) is evaluated only at multiples of
 pi/4, where every coordinate is 0, +-1 or +-sqrt(2)/2, so its points lie in
-Q(sqrt 2).  Hull, polar and orientation geometry run in the field of the
-points: Q for rational point sets, Q(sqrt 2) for curve points.  One pass over
-the supporting hyperplanes of the hull gives the facets, the origin test and
-the polar vertices; the vertex orientations come from facet-point
-determinants.
+Q(sqrt 2); scaled by 2 they lie in Z[sqrt 2].  Hull, polar and orientation
+geometry run on the points scaled to Z[sqrt 2] pairs (see
+exactnum.clear_denominators) and use integer determinants only: one
+chirotope pass gives the facets and, with the facet determinants, the
+origin test, the polar vertices (Cramer's rule) and the vertex
+orientations.  Sqrt2Number appears only at the input and in the output
+vertices, which stay Fraction for rational point sets.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .complexes import OrientationData, SimplePolytope, SimplicialComplex, duali
 from .errors import (
     DegeneracyError,
     FieldCoverageError,
+    NonVertexError,
     PolarityError,
     RankError,
     RealizationInconsistencyError,
@@ -28,10 +31,12 @@ from .exactnum import (
     SQRT2_HALF_ROOT,
     SQRT2_ONE,
     SQRT2_ZERO,
+    Z2,
     Sqrt2Number,
-    det_field,
-    matrix_rank,
-    row_reduce,
+    clear_denominators,
+    det_z2,
+    divide_z2,
+    sign_z2,
 )
 
 # cos and sin at k*pi/4 for k = 0..7
@@ -126,99 +131,79 @@ def gale_facets(n: int, d: int = 4) -> List[Tuple[int, ...]]:
     return out
 
 
-def _affine_functional(points: Sequence[Vector]) -> Tuple[Vector, object]:
-    """Hyperplane <a, x> + c = 0 through d affinely independent points in R^d.
+def _lifted(points: Sequence[Vector]) -> Tuple[List[List[Z2]], bool]:
+    """The rows (L p, L) in Z[sqrt 2], and whether any entry is a Sqrt2Number."""
+    rows, scale, sqrt2 = clear_denominators(points)
+    return [row + [(scale, 0)] for row in rows], sqrt2
 
-    Returns (a, c), a nonzero kernel vector of the homogenized point matrix,
-    in the field of the points.  Raises DegeneracyError when the points are
-    affinely dependent.
+
+def _hull(lifted: Sequence[List[Z2]]) -> Tuple[List[Tuple], Optional[List[Z2]]]:
+    """One chirotope pass: (faces, dets) of the lifted points.
+
+    faces lists (F, side, simplicial) for every d-subset F whose hyperplane
+    supports the points, 1-based and in lexicographic order.  chi(S) is the
+    sign of one determinant per (d+1)-subset S, and the affine functional
+    through F read at q is det[F; q] = chi(F + q) (-1)^#{f in F: f > q}.  F
+    is kept when those values take one nonzero sign, its side, and is
+    simplicial when none is 0.  The functional reads det P_F at 0, so 0 is
+    interior iff some face is kept and every det P_F has its side's sign;
+    dets holds those det P_F then and is None otherwise.  Raises RankError
+    when the points do not span the ambient space (no face is kept then).
     """
-    d = len(points[0])
-    if len(points) != d:
-        raise DegeneracyError(f"need exactly {d} points, got {len(points)}")
-    rows, pivots, _ = row_reduce([list(p) + [1] for p in points])
-    if len(pivots) < d:
-        raise DegeneracyError("points are affinely dependent")
-    free = next(c for c in range(d + 1) if c not in pivots)
-    # d pivots and one free column: every entry is set below, and a pivot
-    # entry of the reduced rows is the field's 1
-    kernel = [rows[0][pivots[0]]] * (d + 1)
-    for r, col in enumerate(pivots):
-        kernel[col] = -rows[r][free]
-    return tuple(kernel[:d]), kernel[d]
-
-
-def _supporting_hyperplane(points: Sequence[Vector], subset: Sequence[int]):
-    """The hyperplane through the points of `subset` (1-based), if it supports.
-
-    Returns (a, c, simplicial) scaled so that <a, p> + c >= 0 for every
-    point, with some point off the hyperplane; simplicial is True when no
-    point outside `subset` lies on it.  Returns None when points lie
-    strictly on both sides, or all on the hyperplane.  Raises
-    DegeneracyError when the subset is affinely dependent.
-    """
-    normal, offset = _affine_functional([points[i - 1] for i in subset])
-    members = set(subset)
-    values = [
-        sum((a * x for a, x in zip(normal, q)), offset)
-        for i, q in enumerate(points, start=1)
-        if i not in members
-    ]
-    if any(v < 0 for v in values):
-        if any(v > 0 for v in values):
-            return None
-        normal, offset, values = tuple(-a for a in normal), -offset, [-v for v in values]
-    elif not any(v > 0 for v in values):
-        return None
-    return normal, offset, all(values)
-
-
-def _supporting_hyperplanes(points: Sequence[Vector]) -> List[Tuple]:
-    """(subset, a, c, simplicial) for every affinely independent d-subset
-    whose hyperplane supports the points, subsets in lexicographic order."""
-    kept = []
-    for subset in combinations(range(1, len(points) + 1), len(points[0])):
-        try:
-            hyperplane = _supporting_hyperplane(points, subset)
-        except DegeneracyError:
-            continue
-        if hyperplane is not None:
-            kept.append((subset,) + hyperplane)
-    return kept
-
-
-def _origin_interior(hyperplanes: Sequence[Tuple]) -> bool:
-    # each facet of a full-dimensional hull holds d affinely independent
-    # points, so the kept hyperplanes are exactly the facet hyperplanes; and
-    # there are none when the hull is not full-dimensional
-    return bool(hyperplanes) and all(offset > 0 for _, _, offset, _ in hyperplanes)
+    n, d = len(lifted), len(lifted[0]) - 1
+    chi = {
+        s: sign_z2(det_z2([lifted[i] for i in s]))
+        for s in combinations(range(n), d + 1)
+    }
+    faces = []
+    for face in combinations(range(n), d):
+        signs = set()
+        for q in range(n):
+            if q not in face:
+                below = sum(1 for f in face if f < q)
+                value = chi[face[:below] + (q,) + face[below:]]
+                signs.add(value if (d - below) % 2 == 0 else -value)
+        sides = signs - {0}
+        if len(sides) == 1:
+            faces.append((tuple(i + 1 for i in face), sides.pop(), 0 not in signs))
+    if not faces and not any(
+        det_z2([row[:d] for row in rows]) != (0, 0) for rows in combinations(lifted, d)
+    ):
+        raise RankError("points do not span the ambient space")
+    dets = []
+    for face, side, _ in faces:
+        dets.append(det_z2([lifted[i - 1][:d] for i in face]))
+        if sign_z2(dets[-1]) != side:
+            return faces, None
+    return faces, dets if faces else None
 
 
 def verify_facets_geometric(
     r: CaratheodoryRealization, candidate: Sequence[int]
 ) -> bool:
-    """Exact supporting-hyperplane test for a candidate facet.
-
-    Solves for the hyperplane through the candidate points and checks that
-    every remaining point lies strictly on one common side.
-    """
-    hyperplane = _supporting_hyperplane(r.points, candidate)
-    return hyperplane is not None and hyperplane[2]
+    """Exact supporting-hyperplane test for a candidate facet: every other
+    point q gives det[candidate; q] of the lifted points one nonzero sign."""
+    lifted, _ = _lifted(r.points)
+    face = [lifted[i - 1] for i in candidate]
+    signs = {
+        sign_z2(det_z2(face + [q]))
+        for i, q in enumerate(lifted, start=1)
+        if i not in candidate
+    }
+    return signs in ({1}, {-1})
 
 
 def contains_origin_interior(r_or_points) -> bool:
     """Whether 0 lies in the interior of the convex hull, exactly.
 
-    Requires the points to span the ambient space; decided by the supporting
-    hyperplanes of the hull: 0 is interior iff it lies strictly on the inner
-    side of every one.
+    Requires the points to span the ambient space (else RankError); 0 is
+    interior iff it lies strictly on the inner side of every facet
+    hyperplane of the hull.
     """
     points = r_or_points.points if isinstance(r_or_points, CaratheodoryRealization) else tuple(
         tuple(p) for p in r_or_points
     )
-    if matrix_rank(points) < len(points[0]):
-        raise RankError("points do not span the ambient space")
-    return _origin_interior(_supporting_hyperplanes(points))
+    return _hull(_lifted(points)[0])[1] is not None
 
 
 @dataclass(frozen=True)
@@ -241,36 +226,43 @@ def build_polar_from_points(
 ) -> PolarPolytope:
     """Polar dual of conv(points) for points spanning R^d with 0 interior.
 
-    One pass over all d-subsets finds the supporting hyperplanes
-    <a, x> + c = 0 of the hull; the polar vertex dual to a facet is -a/c,
-    where <u, p_i> = 1 on the facet's points.  Raises DegeneracyError when a
-    facet holds more than d points (the polar is not simple).  When
-    expected_facets is given the geometric facet list must match it.
+    The polar vertex dual to the facet with points P_F solves P_F u = 1: by
+    Cramer's rule on the lifted rows, u_j = det(P_F, column j set to 1) /
+    det P_F, converted once to a Sqrt2Number (a Fraction when every
+    coordinate is rational).  Raises DegeneracyError when a facet holds more
+    than d points (the polar is not simple) and NonVertexError when a point
+    lies on no facet.  When expected_facets is given the geometric facet
+    list must match it.
     """
     pts: Tuple[Vector, ...] = tuple(tuple(p) for p in points)
-    n = len(pts)
-    hyperplanes = _supporting_hyperplanes(pts)
-    if not _origin_interior(hyperplanes):
-        if matrix_rank(pts) < len(pts[0]):
-            raise RankError("points do not span the ambient space")
+    lifted, sqrt2 = _lifted(pts)
+    d = len(lifted[0]) - 1
+    kept, dets = _hull(lifted)
+    if dets is None:
         raise PolarityError("origin is not interior; polar dual undefined")
-    for subset, _, _, simplicial in hyperplanes:
+    for face, _, simplicial in kept:
         if not simplicial:
             raise DegeneracyError(
-                f"the facet through points {list(subset)} holds more points; "
+                f"the facet through points {list(face)} holds more points; "
                 "the polar is not simple"
             )
-    facets = [subset for subset, _, _, _ in hyperplanes]
+    facets = [face for face, _, _ in kept]
     if expected_facets is not None:
         if sorted(tuple(sorted(f)) for f in expected_facets) != facets:
             raise RealizationInconsistencyError(
                 "geometric facets disagree with the combinatorial prediction"
             )
-    polytope = dualize(SimplicialComplex.of(n, facets))
+    missing = set(range(1, len(pts) + 1)).difference(*facets)
+    if missing:
+        raise NonVertexError(f"point {min(missing)} is not a vertex: it lies on no facet")
+    polytope = dualize(SimplicialComplex.of(len(pts), facets))
     dual_vertex = {}
-    for subset, normal, offset, _ in hyperplanes:
-        scale = -1 / offset
-        dual_vertex[frozenset(subset)] = tuple(a * scale for a in normal)
+    for face, det in zip(facets, dets):
+        rows = [lifted[i - 1] for i in face]
+        dual_vertex[frozenset(face)] = tuple(
+            divide_z2(det_z2([row[:j] + row[d:] + row[j + 1 : d] for row in rows]), det, sqrt2)
+            for j in range(d)
+        )
     coords = tuple(dual_vertex[vertex] for vertex in polytope.vertices)
     return PolarPolytope(polytope, coords, pts)
 
@@ -290,12 +282,13 @@ def vertex_orientation_tuples(p: PolarPolytope) -> OrientationData:
     (-1)^d det P.  The sorted tuple is kept when that sign is positive and
     otherwise permuted by one transposition.
     """
-    d = len(p.facet_points[0])
+    rows, _, _ = clear_denominators(p.facet_points)
+    d = len(rows[0])
     tuples = []
     for vertex in p.polytope.vertices:
         base = sorted(vertex)
-        det = det_field([p.facet_points[i - 1] for i in base])
-        if (det > 0) == (d % 2 == 0):
+        det = det_z2([rows[i - 1] for i in base])
+        if (sign_z2(det) > 0) == (d % 2 == 0):
             tuples.append(tuple(base))
         else:
             tuples.append((base[1], base[0]) + tuple(base[2:]))

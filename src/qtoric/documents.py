@@ -237,15 +237,6 @@ _ENCODERS = {
     SearchConfig: _encode_search_config,
 }
 
-_KIND_OF = {
-    SimplicialComplex: "simplicial_complex",
-    SimplePolytope: "simple_polytope",
-    CharacteristicMap: "charmap",
-    OrientationData: "orientation",
-    AngleSpec: "angles",
-    SearchConfig: "search_config",
-}
-
 
 def parse_document(text: str) -> Document:
     """Parse a document with strict structural validation."""
@@ -272,10 +263,6 @@ def document_to_obj(value: DomainValue) -> Dict[str, Any]:
 def serialize_document(value: DomainValue) -> str:
     """Canonical serialization: deterministic field order, trailing newline."""
     return canonical_json(document_to_obj(value))
-
-
-def kind_of(value: DomainValue) -> str:
-    return _KIND_OF[type(value)]
 
 
 def canonical_json(obj: Any) -> str:

@@ -42,6 +42,10 @@ class PolarityError(QtoricError):
     """Polar dual requested while the origin is not interior."""
 
 
+class NonVertexError(QtoricError):
+    """A point of a configuration lies on no facet of its convex hull."""
+
+
 class RealizationInconsistencyError(QtoricError):
     """Geometric facets disagree with the combinatorial prediction."""
 

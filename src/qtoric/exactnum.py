@@ -1,21 +1,21 @@
 """Exact scalar and linear-algebra kernel.
 
 Everything here is exact: arbitrary-precision rationals (stdlib Fraction),
-the quadratic field Q(sqrt 2), fraction-free integer determinants and
-adjugates, one Gauss-Jordan reduction over Q or Q(sqrt 2) behind field
-determinants and rank, GF(2) linear systems with infeasibility
-certificates, and a strict-feasibility LP over Q (phase-1 simplex with
-Bland's rule).  The reduction works in Q when every input is an int or
-Fraction and in Q(sqrt 2) when any input is a Sqrt2Number.  No floating
-point is used anywhere in a decision path.
+the quadratic field Q(sqrt 2), fraction-free (Bareiss) determinants over
+the integers and over Z[sqrt 2], integer adjugates, GF(2) linear systems
+with infeasibility certificates, and a strict-feasibility LP over Q
+(phase-1 simplex with Bland's rule).  Z[sqrt 2] elements are int pairs;
+clear_denominators brings rational and Q(sqrt 2) data into them and
+divide_z2 takes a quotient back out.  No floating point is used anywhere
+in a decision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError
 
@@ -215,73 +215,88 @@ def is_primitive(vector: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q or Q(sqrt 2)
+# Z[sqrt 2]: int pairs (x, y) standing for x + y*sqrt(2)
 # ---------------------------------------------------------------------------
 
-
-def _field_of(values: Iterable) -> Callable:
-    """The converter into the field of the data: coerce_sqrt2 when any value
-    is a Sqrt2Number, Fraction (ints and Fractions only) otherwise."""
-    if any(isinstance(x, Sqrt2Number) for x in values):
-        return coerce_sqrt2
-    return _frac
+Z2 = Tuple[int, int]
 
 
-def row_reduce(a: Sequence[Sequence]) -> Tuple[List[List], List[int], object]:
-    """Gauss-Jordan reduction to reduced row echelon form, exactly.
+def clear_denominators(rows: Sequence[Sequence]) -> Tuple[List[List[Z2]], int, bool]:
+    """Entries (ints, Fractions or Sqrt2Numbers) as Z[sqrt 2] pairs times L.
 
-    Works in the field of the entries (see _field_of).  Returns (rows,
-    pivot columns, det): the first len(pivots) rows are the nonzero rows
-    of the reduced form, and det is the determinant when the matrix is
-    square (zero when it is singular, and zero when it is not square).
+    Returns (pairs, L, sqrt2): L is the least common multiple of every
+    denominator, and sqrt2 says whether any entry is a Sqrt2Number.
     """
-    if not a:
-        return [], [], _frac(1)
-    field = _field_of(x for row in a for x in row)
-    m = [[field(x) for x in row] for row in a]
-    num_rows, num_cols = len(m), len(m[0])
-    if any(len(row) != num_cols for row in m):
-        raise DimensionError("ragged rows")
-    det = field(1)
-    pivots: List[int] = []
-    for col in range(num_cols):
-        rank = len(pivots)
-        if rank == num_rows:
-            break
-        pivot = next((i for i in range(rank, num_rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            det = -det
-        # columns left of col are already zero in the pivot row, and the
-        # update skips zero entries: both matter for sparse Q(sqrt 2) data
-        row = m[rank]
-        det = det * row[col]
-        inv = field(1) / row[col]
-        row[col:] = [x * inv if x else x for x in row[col:]]
-        for i in range(num_rows):
-            f = m[i][col]
-            if i != rank and f:
-                m[i][col:] = [
-                    x - f * y if y else x for x, y in zip(m[i][col:], row[col:])
-                ]
-        pivots.append(col)
-    if num_rows != num_cols or len(pivots) < num_rows:
-        det = field(0)
-    return m, pivots, det
+    sqrt2 = any(isinstance(x, Sqrt2Number) for row in rows for x in row)
+    parts = [
+        [(x.rat, x.sqrt2) if isinstance(x, Sqrt2Number) else (_frac(x), 0) for x in row]
+        for row in rows
+    ]
+    scale = lcm(*(q.denominator for row in parts for pair in row for q in pair))
+    pairs = [
+        [(a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+         for a, b in row]
+        for row in parts
+    ]
+    return pairs, scale, sqrt2
 
 
-def det_field(a: Sequence[Sequence]):
-    """Exact determinant over the field of the entries."""
-    if any(len(row) != len(a) for row in a):
+def sign_z2(v: Z2) -> int:
+    """Exact sign of x + y*sqrt(2): x^2 against 2 y^2 when the signs differ."""
+    x, y = v
+    sx = (x > 0) - (x < 0)
+    if sx * y >= 0:
+        return sx or (y > 0) - (y < 0)
+    return sx if x * x > 2 * y * y else -sx
+
+
+def det_z2(m: Sequence[Sequence[Z2]]) -> Z2:
+    """Exact determinant over Z[sqrt 2] by fraction-free (Bareiss) elimination.
+
+    Each update is divisible by the previous pivot p; it is divided exactly
+    by multiplying with the conjugate of p and dividing both parts by the
+    integer norm p * conj(p), which is nonzero because sqrt 2 is irrational.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise DimensionError("determinant of non-square matrix")
-    return row_reduce(a)[2]
+    if n == 0:
+        return (1, 0)
+    sign = 1
+    px, py, norm = 1, 0, 1
+    for k in range(n - 1):
+        if a[k][k] == (0, 0):
+            for i in range(k + 1, n):
+                if a[i][k] != (0, 0):
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return (0, 0)
+        pivot = a[k]
+        kx, ky = pivot[k]
+        for row in a[k + 1 :]:
+            ix, iy = row[k]
+            for j in range(k + 1, n):
+                ax, ay = row[j]
+                bx, by = pivot[j]
+                # a_ij a_kk - a_ik a_kj, then times conj(p) over norm(p)
+                tx = ax * kx + 2 * ay * ky - ix * bx - 2 * iy * by
+                ty = ax * ky + ay * kx - ix * by - iy * bx
+                row[j] = ((tx * px - 2 * ty * py) // norm, (ty * px - tx * py) // norm)
+        px, py, norm = kx, ky, kx * kx - 2 * ky * ky
+    x, y = a[n - 1][n - 1]
+    return (sign * x, sign * y)
 
 
-def matrix_rank(a: Sequence[Sequence]) -> int:
-    """Exact rank over the field of the entries."""
-    return len(row_reduce(a)[1])
+def divide_z2(num: Z2, den: Z2, sqrt2: bool):
+    """num / den as a Sqrt2Number, or as a Fraction when sqrt2 is False."""
+    (a, b), (c, e) = num, den
+    if not sqrt2:
+        return Fraction(a, c)
+    norm = c * c - 2 * e * e
+    return Sqrt2Number(Fraction(a * c - 2 * b * e, norm), Fraction(b * c - a * e, norm))
 
 
 # ---------------------------------------------------------------------------

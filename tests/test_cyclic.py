@@ -1,6 +1,7 @@
 """Tests for the trigonometric cyclic polytope machinery."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,19 +22,16 @@ from qtoric.complexes import OrientationData
 from qtoric.errors import (
     DegeneracyError,
     FieldCoverageError,
+    NonVertexError,
     PolarityError,
     RankError,
     RealizationInconsistencyError,
     ValidationError,
 )
-from qtoric.exactnum import (
-    SQRT2_ZERO,
-    Sqrt2Number,
-    det_field,
-    matrix_rank,
-    strict_feasibility,
-)
+from qtoric.exactnum import SQRT2_ZERO, Sqrt2Number, strict_feasibility
 from qtoric.fixtures import D47_REFERENCE_TUPLES, d47_orientation, d47_polar
+
+from field_oracle import det_field, hyperplane_polar, matrix_rank
 
 HALF_ROOT = Sqrt2Number.of(0, Fraction(1, 2))
 ONE = Sqrt2Number.of(1)
@@ -246,11 +244,53 @@ class TestBuildPolar:
         with pytest.raises(DegeneracyError):
             build_polar_from_points(cube)
 
+    def test_interior_point_is_named(self):
+        with pytest.raises(NonVertexError, match="point 5 "):
+            build_polar_from_points([(2, 0), (0, 2), (-2, 0), (0, -2), (0, 1)])
+
     def test_expected_facets_mismatch(self):
         square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
         build_polar_from_points(square, [(2, 1), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(RealizationInconsistencyError):
             build_polar_from_points(square, [(1, 3), (2, 3), (3, 4), (1, 4)])
+
+    def test_agrees_with_hyperplane_oracle(self):
+        # every angle subset of size 5-8 and the seeded point sets above
+        point_sets = [
+            CaratheodoryRealization.of(ks).points
+            for size in range(5, 9)
+            for ks in combinations(range(8), size)
+        ]
+        point_sets += list(random_point_sets(7, 150)) + list(random_point_sets(13, 200))
+        # affinely flat but spanning linearly: the origin is not interior
+        point_sets += [[(1, 0), (0, 1), (2, -1)], [(1, 1, 1), (1, -1, 1), (-1, 0, 1), (0, 0, 1)]]
+        outcomes = Counter()
+        for points in point_sets:
+            if matrix_rank(points) < len(points[0]):
+                with pytest.raises(RankError):
+                    build_polar_from_points(points)
+                outcomes["rank"] += 1
+                continue
+            interior, facets, simplicial, vertices = hyperplane_polar(points)
+            assert contains_origin_interior(points) == interior
+            if not interior:
+                expected = PolarityError
+            elif not simplicial:
+                expected = DegeneracyError
+            elif set().union(*facets) != set(range(1, len(points) + 1)):
+                expected = NonVertexError
+            else:
+                polar = build_polar_from_points(points)
+                assert sorted(map(tuple, map(sorted, polar.polytope.vertices))) == facets
+                assert dict(zip(polar.polytope.vertices, polar.vertex_coords)) == vertices
+                field = Sqrt2Number if isinstance(points[0][0], Sqrt2Number) else Fraction
+                assert {type(x) for c in polar.vertex_coords for x in c} == {field}
+                outcomes["polar"] += 1
+                continue
+            with pytest.raises(expected):
+                build_polar_from_points(points)
+            outcomes[expected.__name__] += 1
+        assert len(outcomes) == 5 and outcomes["polar"] >= 100
 
     def test_polar_inner_product_invariant(self):
         polar = d47_polar()
@@ -296,7 +336,7 @@ class TestOrientationTuples:
         for points in random_point_sets(13, 200):
             try:
                 polar = build_polar_from_points(points)
-            except (RankError, PolarityError, DegeneracyError, ValidationError):
+            except (RankError, PolarityError, DegeneracyError, NonVertexError):
                 continue
             assert all(type(x) is Fraction for c in polar.vertex_coords for x in c)
             assert_polar_certificate(polar)

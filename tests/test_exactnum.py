@@ -11,15 +11,18 @@ from qtoric.exactnum import (
     Gf2System,
     Sqrt2Number,
     adjugate,
+    clear_denominators,
     coerce_sqrt2,
-    det_field,
     det_int,
+    det_z2,
+    divide_z2,
     gf2_solve,
-    matrix_rank,
-    row_reduce,
     sign_sqrt2,
+    sign_z2,
     strict_feasibility,
 )
+
+from field_oracle import det_field, matrix_rank, row_reduce
 
 
 def det_cofactor(m):
@@ -122,6 +125,8 @@ class TestSympyCrossCheck:
 
 
 class TestRowReduce:
+    """The field oracle that the Z[sqrt 2] kernel is tested against."""
+
     def test_reduced_form_pivots_and_det(self):
         rows, pivots, det = row_reduce([[0, 2, 4], [1, 1, 1], [2, 4, 6]])
         assert pivots == [0, 1]
@@ -138,6 +143,88 @@ class TestRowReduce:
         assert matrix_rank([]) == 0
 
 
+def random_q_sqrt2_matrices(seed, count=30):
+    """Random Q(sqrt 2) matrices of size 1-5 with small denominators; a third
+    of them singular (last row a Z[sqrt 2] combination of the others)."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Sqrt2Number.of(
+            Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))),
+            Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
+        )
+
+    for n in range(1, 6):
+        for k in range(count):
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            if k % 3 == 0:
+                coeffs = [Sqrt2Number.of(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in m[:-1]]
+                m[-1] = [
+                    sum((c * row[j] for c, row in zip(coeffs, m[:-1])), Sqrt2Number())
+                    for j in range(n)
+                ]
+            yield m
+
+
+def z2_det_of(m):
+    """det m through the kernel: det of the scaled pairs over L^n."""
+    pairs, scale, sqrt2 = clear_denominators(m)
+    return divide_z2(det_z2(pairs), (scale ** len(m), 0), sqrt2)
+
+
+class TestZSqrt2Kernel:
+    def test_det_matches_field_oracle(self):
+        singular = 0
+        for m in random_q_sqrt2_matrices(29):
+            det = z2_det_of(m)
+            assert type(det) is Sqrt2Number
+            assert det == det_field(m)
+            singular += det == 0
+        assert singular >= 50
+
+    def test_rational_det_stays_rational(self):
+        for m in random_int_matrices(31, count=10):
+            det = z2_det_of(m)
+            assert type(det) is Fraction
+            assert det == det_int(m) == det_field(m)
+
+    def test_sign_matches_sqrt2_sign(self):
+        for x in range(-12, 13):
+            for y in range(-9, 10):
+                assert sign_z2((x, y)) == Sqrt2Number.of(x, y).sign()
+
+    def test_clear_denominators(self):
+        rows = [[Fraction(1, 2), Sqrt2Number.of(Fraction(1, 3), Fraction(-3, 4))], [2, 0]]
+        pairs, scale, sqrt2 = clear_denominators(rows)
+        assert scale == 12 and sqrt2
+        assert pairs == [[(6, 0), (4, -9)], [(24, 0), (0, 0)]]
+        assert clear_denominators([[1, Fraction(2, 3)]]) == ([[(3, 0), (2, 0)]], 3, False)
+
+    def test_divide(self):
+        num, den = (3, 1), (1, -1)  # (3 + sqrt2) / (1 - sqrt2) = -5 - 4 sqrt2
+        assert divide_z2(num, den, True) == Sqrt2Number.of(-5, -4)
+        assert divide_z2((6, 0), (-4, 0), False) == Fraction(-3, 2)
+
+    def test_empty_and_non_square(self):
+        assert det_z2([]) == (1, 0)
+        with pytest.raises(DimensionError):
+            det_z2([[(1, 0), (2, 0)]])
+
+    def test_det_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        root = sympy.sqrt(2)
+        field = sympy.QQ.algebraic_field(root)
+        gen = field.from_sympy(root)
+        for m in random_q_sqrt2_matrices(37, count=6):
+            pairs, _, _ = clear_denominators(m)
+            x, y = det_z2(pairs)
+            rows = [[field.convert(a) + field.convert(b) * gen for a, b in row] for row in pairs]
+            det = DomainMatrix(rows, (len(rows), len(rows)), field).det()
+            assert sympy.expand(field.to_sympy(det) - (x + y * root)) == 0
+
+
 class TestFieldIndependence:
     """A rational system gives equal answers as ints and embedded in Q(sqrt 2),
     the rational run stays in Fraction, and the LP takes rational data only."""
@@ -148,9 +235,9 @@ class TestFieldIndependence:
 
     def test_det_and_solve(self):
         for m in random_int_matrices(37, count=10):
-            det = det_field(m)
+            det = z2_det_of(m)
             assert type(det) is Fraction
-            assert det == det_int(m) == det_field(self.embed(m))
+            assert det == det_int(m) == z2_det_of(self.embed(m))
 
     def test_strict_feasibility(self):
         rng = random.Random(41)
@@ -176,7 +263,7 @@ class TestFieldIndependence:
 
     def test_floats_are_rejected(self):
         with pytest.raises(TypeError):
-            det_field([[0.5]])
+            clear_denominators([[0.5]])
         with pytest.raises(TypeError):
             strict_feasibility([([1.0, -1], 0)], 2, [1, 2])
 
