@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charmap import CharacteristicMap, Structure, cells_of, num_carriers_of
+from .charmap import (
+    CharacteristicMap,
+    Structure,
+    _check_orientation,
+    cells_of,
+    num_carriers_of,
+)
 from .complexes import OrientationData
 from .cyclic import permutation_parity
 from .errors import NormalizationError, ValidationError
@@ -125,6 +131,7 @@ def search(
     orientation is reversed first (the two conventions describe the same
     search up to an ambient reflection).
     """
+    _check_orientation(structure, orientation)
     cells = cells_of(structure)
     n = len(config.base_vertex)
     base_set = frozenset(config.base_vertex)

@@ -115,6 +115,8 @@ def gale_facets(n: int, d: int = 4) -> List[Tuple[int, ...]]:
     Y is kept iff for every pair i < j outside Y, the number of elements
     of Y strictly between i and j is even.  Output is lexicographic.
     """
+    if d < 1:
+        raise ValidationError(f"need d >= 1 for a cyclic polytope, got d={d}")
     if n <= d:
         raise ValidationError(f"need n > d for a cyclic polytope, got n={n}, d={d}")
     out = []

@@ -18,7 +18,7 @@ from .exactnum import adjugate, det_int, strict_feasibility
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """A full-dimensional unimodular cone; generators are the columns."""
+    """A full-dimensional simplicial cone; generators are the columns."""
 
     generators: Tuple[Tuple[int, ...], ...]
 
@@ -38,9 +38,6 @@ class SimplicialCone:
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-    def is_unimodular(self) -> bool:
-        return abs(self.det()) == 1
 
     def det(self) -> int:
         # generators as rows: the transpose, with the same determinant
@@ -144,14 +141,3 @@ def cones_from_charmap(
     ]
     return cones, adjacency
 
-
-def sample_coverage(
-    cones: Sequence[SimplicialCone], directions: Sequence[Sequence[int]]
-) -> Dict[str, int]:
-    """Heuristic completeness diagnostic: exact membership counts over a
-    deterministic sample of rational directions.  Not a proof of anything."""
-    covered = 0
-    for d in directions:
-        if any(cone_membership(c, d)[0] for c in cones):
-            covered += 1
-    return {"sampled": len(directions), "covered": covered}

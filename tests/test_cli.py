@@ -2,9 +2,17 @@
 
 import json
 
+import pytest
+
 from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from qtoric.documents import serialize_document
-from qtoric.fixtures import FIXTURE_NAMES, get_fixture
+from qtoric.fixtures import FIXTURE_NAMES, d47_orientation, get_fixture
+
+INPUT_COMMANDS = (
+    "fvector", "hvector", "orient", "dualize", "cyclic-gen", "polar",
+    "orient-tuples", "check-unimodular", "signs", "almost-complex",
+    "flip-solve", "fan-check", "search",
+)
 
 
 def run(capsys, *argv):
@@ -16,6 +24,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out else None, err
+
+
+def assert_input_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error:")
+    return err
 
 
 class TestFixturesCommand:
@@ -83,6 +98,10 @@ class TestCyclicCommands:
         assert code == EXIT_OK
         assert report["details"]["count"] == 14
         assert [1, 2, 3, 4] in report["verdict"]
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_gale_dimension_below_one(self, capsys, d):
+        assert "d >= 1" in assert_input_error(capsys, "gale", "--n", "7", "--d", d)
 
     def test_cyclic_gen(self, capsys):
         code, report, _ = run_json(capsys, "cyclic-gen", "fixtures:d47")
@@ -224,6 +243,36 @@ class TestSearchCommand:
         assert code == EXIT_INPUT_ERROR
         assert "base-vertex" in err
 
+    def test_bad_base_vertex_value(self, capsys):
+        err = assert_input_error(
+            capsys, "search", "fixtures:triangle", "--base-vertex", "1,a"
+        )
+        assert "--base-vertex" in err
+
+    def test_negative_max_printed(self, capsys):
+        err = assert_input_error(
+            capsys, "search", "fixtures:triangle",
+            "--base-vertex", "1,2", "--max-printed", "-1",
+        )
+        assert "--max-printed" in err
+
+    @pytest.mark.parametrize("case", ["one-tuple", "swapped-6-7"])
+    def test_orientation_must_match_cells(self, capsys, tmp_path, case):
+        # search checks the orientation against the cells, as signs does
+        tuples = [list(t) for t in d47_orientation().tuples]
+        if case == "one-tuple":
+            tuples = tuples[:1]
+        else:
+            tuples[5], tuples[6] = tuples[6], tuples[5]
+        path = tmp_path / "orientation.json"
+        path.write_text(json.dumps({"kind": "orientation", "tuples": tuples}))
+        for argv in (
+            ["search", "fixtures:d47", str(path), "--base-vertex", "2,1,3,7"],
+            ["signs", "fixtures:d47", str(path)],
+        ):
+            err = assert_input_error(capsys, *argv)
+            assert "orientation" in err
+
 
 class TestErrorsAndOutput:
     def test_malformed_json_file(self, capsys, tmp_path):
@@ -248,6 +297,21 @@ class TestErrorsAndOutput:
         code, _, err = run(capsys, "fvector")
         assert code == EXIT_INPUT_ERROR
         assert "needs" in err
+
+    @pytest.mark.parametrize("command", INPUT_COMMANDS)
+    def test_every_input_command_without_inputs(self, capsys, command):
+        assert_input_error(capsys, command)
+
+    @pytest.mark.parametrize(
+        "argv", [["dualize", "fixtures:simplex4"], ["fixtures", "pentagon"]]
+    )
+    def test_output_file_of_bare_documents(self, capsys, tmp_path, argv):
+        code, expected, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        out = tmp_path / "doc.json"
+        code, stdout, _ = run(capsys, *argv, "--output", str(out))
+        assert (code, stdout) == (EXIT_OK, "")
+        assert out.read_text() == expected
 
     def test_output_file_and_canonical_form(self, capsys, tmp_path):
         out = tmp_path / "report.json"

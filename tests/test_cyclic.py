@@ -146,6 +146,12 @@ class TestGale:
         with pytest.raises(ValidationError):
             gale_facets(4, 4)
 
+    def test_dimension_below_one_rejected(self):
+        for d in (0, -1):
+            with pytest.raises(ValidationError):
+                gale_facets(7, d)
+        assert gale_facets(7, 1) == [(1,), (7,)]
+
 
 class TestGeometricFacets:
     def test_n7_true_and_false_cases(self):
