@@ -3,8 +3,8 @@
 Everything here is exact: arbitrary-precision rationals (stdlib Fraction),
 the quadratic field Q(sqrt 2), fraction-free (Bareiss) determinants over
 the integers and over Z[sqrt 2], integer adjugates, GF(2) linear systems
-with infeasibility certificates, and a strict-feasibility LP over Q
-(phase-1 simplex with Bland's rule).  Z[sqrt 2] elements are int pairs;
+with infeasibility certificates, and a positive kernel vector of a rational
+matrix (phase-1 simplex with Bland's rule).  Z[sqrt 2] elements are int pairs;
 clear_denominators brings rational and Q(sqrt 2) data into them and
 divide_z2 takes a quotient back out.  No floating point is used anywhere
 in a decision path.
@@ -398,49 +398,44 @@ def gf2_solve(system: Gf2System) -> Gf2Result:
 # ---------------------------------------------------------------------------
 
 
-def _phase1_simplex(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List]:
-    """Find x >= 0 with A x = b exactly over Q, or None if infeasible.
+def strict_feasibility(rows: Sequence[Sequence[Rationalish]]) -> Optional[Tuple[Fraction, ...]]:
+    """Some x > 0 with rows . x = 0 exactly over Q, or None if there is none.
 
-    Phase-1 simplex with Bland's rule (lowest eligible index), which
-    guarantees termination.
+    Substitutes x = 1 + s with s >= 0 (lossless, the system being a cone),
+    so each row's right-hand side is -sum(row), and runs a phase-1 simplex
+    with one artificial per row and Bland's rule (lowest eligible index),
+    which guarantees termination.  Entries must be ints or Fractions; the
+    witness is in Fractions.
     """
     zero, one = Fraction(0), Fraction(1)
     m = len(rows)
     n = len(rows[0]) if m else 0
     tab = []
-    for i in range(m):
-        row = list(rows[i])
-        b = rhs[i]
+    for i, coeffs in enumerate(rows):
+        if len(coeffs) != n:
+            raise DimensionError("coefficient row has wrong length")
+        row = [_frac(c) for c in coeffs]
+        b = -sum(row, zero)
         if b < 0:
             row = [-x for x in row]
             b = -b
-        unit = [one if j == i else zero for j in range(m)]
-        tab.append(row + unit + [b])
+        tab.append(row + [one if j == i else zero for j in range(m)] + [b])
     basis = [n + i for i in range(m)]
     width = n + m
     # reduced-cost row for minimizing the sum of artificials
-    obj = [zero] * (width + 1)
-    for j in range(n):
-        obj[j] = -sum((tab[i][j] for i in range(m)), zero)
-    obj[width] = -sum((tab[i][width] for i in range(m)), zero)
+    obj = [-sum((row[j] for row in tab), zero) for j in range(width + 1)]
+    obj[n:width] = [zero] * m
 
     while True:
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
-        leaving = None
-        best = None
-        for i in range(m):
-            coef = tab[i][entering]
-            if coef > 0:
-                ratio = tab[i][width] / coef
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
+        # ratio test, ties to the lowest basic variable
+        leaving = min(
+            (i for i in range(m) if tab[i][entering] > 0),
+            key=lambda i: (tab[i][width] / tab[i][entering], basis[i]),
+            default=None,
+        )
         if leaving is None:
             # phase-1 objective is bounded below by 0; unreachable
             raise AssertionError("unbounded phase-1 simplex")
@@ -457,63 +452,8 @@ def _phase1_simplex(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional
 
     if obj[width]:  # optimum = -obj[width] > 0
         return None
-    x = [zero] * n
+    s = [zero] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][width]
-    return x
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: Optional[Tuple]
-
-
-def strict_feasibility(
-    equations: Sequence[Tuple[Sequence, object]],
-    num_vars: int,
-    strict_positive: Iterable[int],
-) -> FeasibilityResult:
-    """Decide solvability of exact linear equalities with some variables > 0.
-
-    `equations` is a list of (coefficients, rhs) with variables labeled
-    1..num_vars; variables in `strict_positive` must be > 0, the rest are
-    free.  Strict variables are substituted v = 1 + s with s >= 0 and free
-    variables v = u - w, then an exact phase-1 simplex decides feasibility
-    over Q; the data must be ints or Fractions, and the witness is in
-    Fractions.  The substitution is lossless for positively homogeneous
-    systems (cones), which is how every caller in this package uses it.
-    """
-    strict = set(int(v) for v in strict_positive)
-    for v in strict:
-        if not 1 <= v <= num_vars:
-            raise DimensionError(f"variable {v} out of range 1..{num_vars}")
-    for coeffs, _ in equations:
-        if len(coeffs) != num_vars:
-            raise DimensionError("coefficient row has wrong length")
-    zero = Fraction(0)
-    # column layout: one slack per strict var, (u, w) pair per free var
-    columns: List[Tuple[int, int]] = []  # (variable, +1/-1 multiplier)
-    for v in range(1, num_vars + 1):
-        if v in strict:
-            columns.append((v, 1))
-        else:
-            columns.append((v, 1))
-            columns.append((v, -1))
-    rows: List[List] = []
-    rhs: List = []
-    for coeffs, b in equations:
-        cs = [_frac(c) for c in coeffs]
-        shift = sum((cs[v - 1] for v in strict), zero)
-        rows.append([cs[var - 1] * mult for var, mult in columns])
-        rhs.append(_frac(b) - shift)
-    x = _phase1_simplex(rows, rhs) if rows else [zero] * len(columns)
-    if x is None:
-        return FeasibilityResult(False, None)
-    witness = [zero] * num_vars
-    for value, (var, mult) in zip(x, columns):
-        witness[var - 1] = witness[var - 1] + (value if mult > 0 else -value)
-    for v in strict:
-        witness[v - 1] = witness[v - 1] + 1
-    return FeasibilityResult(True, tuple(witness))
+            s[basis[i]] = tab[i][width]
+    return tuple(one + v for v in s)

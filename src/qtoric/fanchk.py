@@ -1,7 +1,8 @@
 """Simplicial cones from characteristic vectors and exact fan properness.
 
-Overlap of cone interiors is decided by an exact strict-feasibility LP on
-the homogenized system A x = B y with x, y > 0; no epsilons anywhere.
+Overlap of cone interiors is decided by an exact LP for a positive vector
+(x, y) in the kernel of [A | -B], that is A x = B y with x, y > 0; no
+epsilons anywhere.
 """
 
 from __future__ import annotations
@@ -80,15 +81,14 @@ def cones_overlap_interior(
     if b.dim != n:
         raise ValidationError("cones live in different dimensions")
     arows = a.matrix_rows()
-    brows = b.matrix_rows()
-    equations = [
-        (list(arows[i]) + [-x for x in brows[i]], 0) for i in range(n)
-    ]
-    result = strict_feasibility(equations, 2 * n, range(1, 2 * n + 1))
-    if not result.feasible:
+    # (x, y) > 0 in the kernel of [A | -B]
+    witness = strict_feasibility(
+        [ra + [-x for x in rb] for ra, rb in zip(arows, b.matrix_rows())]
+    )
+    if witness is None:
         return False, None
     # integer data, so the LP ran over Q and the witness ray is rational
-    x = result.witness[:n]
+    x = witness[:n]
     return True, tuple(sum(g * xj for g, xj in zip(row, x)) for row in arows)
 
 

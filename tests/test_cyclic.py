@@ -82,9 +82,8 @@ def edge_vector_tuples(p):
 def lp_origin_interior(points):
     """Oracle: 0 is interior to the hull of spanning points iff it is a
     strictly positive combination of them (the LP over Q)."""
-    n, d = len(points), len(points[0])
-    equations = [([p[c] for p in points], 0) for c in range(d)]
-    return strict_feasibility(equations, n, range(1, n + 1)).feasible
+    rows = [[p[c] for p in points] for c in range(len(points[0]))]
+    return strict_feasibility(rows) is not None
 
 
 def random_point_sets(seed, count):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtoric.charmap import CharacteristicMap
 from qtoric.errors import DimensionError
 from qtoric.exactnum import (
     Gf2System,
@@ -21,8 +22,11 @@ from qtoric.exactnum import (
     sign_z2,
     strict_feasibility,
 )
+from qtoric.fanchk import cones_from_charmap
+from qtoric.fixtures import d47_polar, get_fixture
 
 from field_oracle import det_field, matrix_rank, row_reduce
+from field_oracle import strict_feasibility as oracle_strict_feasibility
 
 
 def det_cofactor(m):
@@ -243,29 +247,21 @@ class TestFieldIndependence:
         rng = random.Random(41)
         feasible = 0
         for _ in range(40):
-            num_vars = rng.randint(2, 5)
-            eqs = [
-                ([rng.randint(-2, 2) for _ in range(num_vars)], rng.randint(-1, 1))
-                for _ in range(rng.randint(1, 3))
-            ]
-            strict = [v for v in range(1, num_vars + 1) if rng.random() < 0.7]
-            rational = strict_feasibility(eqs, num_vars, strict)
+            k = rng.randint(2, 5)
+            rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(1, 3))]
+            witness = strict_feasibility(rows)
             with pytest.raises(TypeError):
-                strict_feasibility(
-                    [([Sqrt2Number.of(c) for c in cs], Sqrt2Number.of(b)) for cs, b in eqs],
-                    num_vars,
-                    strict,
-                )
-            if rational.feasible:
+                strict_feasibility(self.embed(rows))
+            if witness is not None:
                 feasible += 1
-                assert all(type(w) is Fraction for w in rational.witness)
+                assert all(type(w) is Fraction for w in witness)
         assert feasible > 0
 
     def test_floats_are_rejected(self):
         with pytest.raises(TypeError):
             clear_denominators([[0.5]])
         with pytest.raises(TypeError):
-            strict_feasibility([([1.0, -1], 0)], 2, [1, 2])
+            strict_feasibility([[1.0, -1]])
 
 class TestSqrt2:
     def test_sign_examples(self):
@@ -388,35 +384,83 @@ def cone_overlap_2d_oracle(a1, a2, b1, b2):
 
 class TestStrictFeasibility:
     def test_equal_pair(self):
-        result = strict_feasibility([([1, -1], 0)], 2, [1, 2])
-        assert result.feasible
-        x, y = result.witness
+        x, y = strict_feasibility([[1, -1]])
         assert x == y and x > 0
 
     def test_opposite_cones_infeasible(self):
-        # cone(e1,e2) vs cone(-e1,e2): x1 + 0 = -y1, x2 = y2 with all > 0
-        equations = [
-            ([1, 0, 1, 0], 0),  # x1 + y1 = 0
-            ([0, 1, 0, -1], 0),  # x2 - y2 = 0
-        ]
-        result = strict_feasibility(equations, 4, [1, 2, 3, 4])
-        assert not result.feasible
+        # cone(e1,e2) vs cone(-e1,e2): x1 + y1 = 0, x2 - y2 = 0 with all > 0
+        assert strict_feasibility([[1, 0, 1, 0], [0, 1, 0, -1]]) is None
 
     def test_witness_satisfies_equations(self):
         rng = random.Random(17)
         for _ in range(30):
-            num_vars = rng.randint(2, 4)
-            eqs = []
-            for _ in range(rng.randint(1, 2)):
-                coeffs = [rng.randint(-2, 2) for _ in range(num_vars)]
-                eqs.append((coeffs, 0))
-            strict = [v for v in range(1, num_vars + 1) if rng.random() < 0.7]
-            result = strict_feasibility(eqs, num_vars, strict)
-            if result.feasible:
-                for coeffs, rhs in eqs:
-                    acc = Sqrt2Number()
-                    for c, w in zip(coeffs, result.witness):
-                        acc = acc + coerce_sqrt2(c) * w
-                    assert acc == coerce_sqrt2(rhs)
-                for v in strict:
-                    assert result.witness[v - 1] > 0
+            k = rng.randint(2, 4)
+            rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(1, 2))]
+            witness = strict_feasibility(rows)
+            if witness is not None:
+                assert len(witness) == k and all(w > 0 for w in witness)
+                for row in rows:
+                    assert sum(c * w for c, w in zip(row, witness)) == 0
+
+    def test_no_rows_and_ragged_rows(self):
+        assert strict_feasibility([]) == ()
+        with pytest.raises(DimensionError):
+            strict_feasibility([[1, 2], [1]])
+
+
+def seeded_systems(seed):
+    """Integer systems: 300 of shape n x 2n (n = 2..4) and 250 of m x k."""
+    rng = random.Random(seed)
+    for n in (2, 3, 4):
+        for _ in range(100):
+            yield [[rng.randint(-3, 3) for _ in range(2 * n)] for _ in range(n)]
+    for _ in range(250):
+        m, k = rng.randint(1, 3), rng.randint(1, 5)
+        yield [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+
+
+def cone_pair_systems():
+    """[A | -B] for every cone pair of Barnette, D4(7) and cross4 (+-e_i)."""
+    unit = [[int(i == j) for j in range(4)] for i in range(4)]
+    cross4 = CharacteristicMap.of(4, unit + [[-x for x in row] for row in unit])
+    for structure, cm in (
+        (get_fixture("barnette").complex, get_fixture("barnette").charmap),
+        (d47_polar().polytope, get_fixture("d47").charmap),
+        (get_fixture("cross4").complex, cross4),
+    ):
+        cones, _ = cones_from_charmap(structure, cm)
+        for a, b in itertools.combinations(cones, 2):
+            yield [ra + [-x for x in rb] for ra, rb in zip(a.matrix_rows(), b.matrix_rows())]
+
+
+class TestStrictFeasibilityOracle:
+    """Same feasibility and the identical witness as the general LP front
+    end, run with every variable strict and right-hand side 0."""
+
+    @staticmethod
+    def oracle(rows):
+        k = len(rows[0])
+        result = oracle_strict_feasibility([(row, 0) for row in rows], k, range(1, k + 1))
+        return result.witness if result.feasible else None
+
+    def check(self, systems):
+        feasible = infeasible = 0
+        for rows in systems:
+            witness = strict_feasibility(rows)
+            assert witness == self.oracle(rows)
+            if witness is None:
+                infeasible += 1
+            else:
+                feasible += 1
+                assert all(type(w) is Fraction for w in witness)
+        return feasible, infeasible
+
+    def test_seeded_systems(self):
+        feasible, infeasible = self.check(seeded_systems(2024))
+        assert feasible + infeasible == 550
+        assert feasible > 50 and infeasible > 50
+
+    def test_cone_pairs(self):
+        feasible, infeasible = self.check(cone_pair_systems())
+        assert feasible + infeasible == 171 + 91 + 120
+        assert feasible > 0 and infeasible > 0
