@@ -48,6 +48,10 @@ class SearchConfig:
             raise ValidationError("entry bound must be >= 1")
         if self.goal not in (GOAL_UNIMODULAR, GOAL_ALL_POSITIVE):
             raise ValidationError(f"unknown goal {self.goal!r}")
+        if self.solution_cap is not None and self.solution_cap < 1:
+            raise ValidationError(f"solution cap must be >= 1, not {self.solution_cap}")
+        if self.node_budget < 0:
+            raise ValidationError(f"node budget must be >= 0, not {self.node_budget}")
 
 
 @dataclass

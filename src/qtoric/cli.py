@@ -26,7 +26,9 @@ from .charmap import CharacteristicMap
 from .charsearch import SearchConfig
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .cyclic import AngleSpec, CaratheodoryRealization, PolarPolytope
-from .documents import canonical_json, document_to_obj, parse_document, sqrt2_to_json
+from .documents import (
+    canonical_json, document_to_obj, fraction_to_json, parse_document, sqrt2_to_json
+)
 from .errors import NonOrientableError, QtoricError
 from .exactnum import gf2_solve
 from .fixtures import (
@@ -281,7 +283,7 @@ def _cmd_fan_check(ctx: Context, args) -> Result:
         }
         ray = off.get("witness_ray")
         if ray is not None:
-            entry["witness_ray"] = [f"{x.numerator}/{x.denominator}" for x in ray]
+            entry["witness_ray"] = [fraction_to_json(x) for x in ray]
         detail.append(entry)
     details = {"num_cones": len(cones), "offending_pairs": detail}
     return "proper" if ok else "improper", details, _exit(ok)
@@ -409,8 +411,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, code = result, EXIT_OK
     text = canonical_json(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.output}: {exc}\n")
+            return EXIT_INPUT_ERROR
     else:
         sys.stdout.write(text)
     return code

@@ -70,27 +70,8 @@ def fraction_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def fraction_from_json(s: Any, field: str) -> Fraction:
-    if not isinstance(s, str):
-        raise SchemaError(field, f"expected 'p/q' string, got {s!r}")
-    try:
-        num, _, den = s.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(field, f"bad fraction {s!r}: {exc}")
-
-
 def sqrt2_to_json(x: Sqrt2Number) -> Dict[str, str]:
     return {"rat": fraction_to_json(x.rat), "sqrt2": fraction_to_json(x.sqrt2)}
-
-
-def sqrt2_from_json(obj: Any, field: str) -> Sqrt2Number:
-    if not isinstance(obj, dict) or set(obj) != {"rat", "sqrt2"}:
-        raise SchemaError(field, "expected {'rat': 'p/q', 'sqrt2': 'r/s'}")
-    return Sqrt2Number(
-        fraction_from_json(obj["rat"], f"{field}.rat"),
-        fraction_from_json(obj["sqrt2"], f"{field}.sqrt2"),
-    )
 
 
 # -- per-kind encoders/decoders ---------------------------------------------

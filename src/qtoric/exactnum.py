@@ -423,8 +423,8 @@ def strict_feasibility(rows: Sequence[Sequence[Rationalish]]) -> Optional[Tuple[
     basis = [n + i for i in range(m)]
     width = n + m
     # reduced-cost row for minimizing the sum of artificials
-    obj = [-sum((row[j] for row in tab), zero) for j in range(width + 1)]
-    obj[n:width] = [zero] * m
+    obj = [-sum((row[j] for row in tab), zero) for j in range(n)]
+    obj += [zero] * m + [-sum((row[width] for row in tab), zero)]
 
     while True:
         entering = next((j for j in range(width) if obj[j] < 0), None)

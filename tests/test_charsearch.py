@@ -220,6 +220,19 @@ class TestSearch:
         assert not result.exhaustive
         assert len(result.solutions) == 3
 
+    @pytest.mark.parametrize(
+        "limits", [{"solution_cap": 0}, {"solution_cap": -1}, {"node_budget": -5}]
+    )
+    def test_bad_limits_rejected(self, limits):
+        with pytest.raises(ValidationError):
+            SearchConfig(bound=1, base_vertex=(1, 2), **limits)
+
+    def test_smallest_limits_accepted(self):
+        fx = get_fixture("square")
+        config = SearchConfig(bound=1, base_vertex=(1, 2), solution_cap=1, node_budget=0)
+        result = search(fx.polytope, fx.orientation, config)
+        assert len(result.solutions) <= 1 and not result.exhaustive
+
     def test_nodes_monotone_in_bound(self):
         fx = get_fixture("square")
         nodes = []

@@ -256,6 +256,24 @@ class TestSearchCommand:
         )
         assert "--max-printed" in err
 
+    def test_negative_node_budget(self, capsys):
+        err = assert_input_error(
+            capsys, "search", "fixtures:triangle",
+            "--base-vertex", "1,2", "--node-budget", "-5",
+        )
+        assert "node budget" in err
+
+    @pytest.mark.parametrize(
+        "limits", [{"solution_cap": 0}, {"solution_cap": -1}, {"node_budget": -5}]
+    )
+    def test_bad_limits_in_search_config_document(self, capsys, tmp_path, limits):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "kind": "search_config", "bound": 1, "base_vertex": [1, 2],
+            "goal": "all_positive", **limits,
+        }))
+        assert_input_error(capsys, "search", "fixtures:triangle", str(path))
+
     @pytest.mark.parametrize("case", ["one-tuple", "swapped-6-7"])
     def test_orientation_must_match_cells(self, capsys, tmp_path, case):
         # search checks the orientation against the cells, as signs does
@@ -322,6 +340,14 @@ class TestErrorsAndOutput:
         text = out.read_text()
         assert text.endswith("\n")
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        out = tmp_path / "no" / "such" / "dir" / "x.json"
+        err = assert_input_error(
+            capsys, "fvector", "fixtures:barnette", "--output", str(out)
+        )
+        assert "cannot write" in err
+        assert not out.exists()
 
     def test_extra_input_flag(self, capsys, tmp_path):
         cm = tmp_path / "cm.json"
