@@ -423,8 +423,9 @@ def cone_pair_systems():
     """[A | -B] for every cone pair of Barnette, D4(7) and cross4 (+-e_i)."""
     unit = [[int(i == j) for j in range(4)] for i in range(4)]
     cross4 = CharacteristicMap.of(4, unit + [[-x for x in row] for row in unit])
+    barnette = get_fixture("barnette")
     for structure, cm in (
-        (get_fixture("barnette").complex, get_fixture("barnette").charmap),
+        (barnette.complex, barnette.charmap),
         (d47_polar().polytope, get_fixture("d47").charmap),
         (get_fixture("cross4").complex, cross4),
     ):
