@@ -199,10 +199,10 @@ def search(
             return True
         carrier = order[depth]
         for cand in candidates:
-            result.nodes += 1
-            if result.nodes > config.node_budget:
+            if result.nodes == config.node_budget:
                 result.exhaustive = False
                 return False
+            result.nodes += 1
             assignment[carrier] = cand
             if all(cell_ok(ci) for ci in completed_at[depth]):
                 if not dfs(depth + 1):

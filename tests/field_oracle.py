@@ -11,6 +11,10 @@ package used before its LP was narrowed to a positive kernel vector:
 arbitrary right-hand sides, free variables split into u - w, and a chosen
 subset of strict variables.  They are kept verbatim, apart from the name of
 the rational coercion, as the oracle for exactnum.strict_feasibility.
+
+cones_overlap_interior is fanchk.cones_overlap_interior before the facet
+sign test: one positive-kernel LP on [A | -B] for every cone pair.  It is
+the oracle for the verdicts and witness rays of the sign-test path.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from qtoric.errors import DimensionError
+from qtoric import exactnum
+from qtoric.errors import DimensionError, ValidationError
 from qtoric.exactnum import Sqrt2Number, coerce_sqrt2
 
 
@@ -252,3 +257,24 @@ def strict_feasibility(
     for v in strict:
         witness[v - 1] = witness[v - 1] + 1
     return FeasibilityResult(True, tuple(witness))
+
+
+def cones_overlap_interior(a, b):
+    """Whether the two cone interiors share a ray; returns a witness ray.
+
+    Decides existence of x, y > 0 with A x = B y exactly.  A witness ray
+    A x is returned when the interiors overlap (an improper intersection).
+    """
+    n = a.dim
+    if b.dim != n:
+        raise ValidationError("cones live in different dimensions")
+    arows = a.matrix_rows()
+    # (x, y) > 0 in the kernel of [A | -B]
+    witness = exactnum.strict_feasibility(
+        [ra + [-x for x in rb] for ra, rb in zip(arows, b.matrix_rows())]
+    )
+    if witness is None:
+        return False, None
+    # integer data, so the LP ran over Q and the witness ray is rational
+    x = witness[:n]
+    return True, tuple(sum(g * xj for g, xj in zip(row, x)) for row in arows)

@@ -209,7 +209,7 @@ class TestSearch:
         )
         result = search(polar.polytope, d47_orientation(), config)
         assert not result.exhaustive
-        assert result.nodes == 101
+        assert result.nodes == 100
 
     def test_solution_cap_stops_early(self):
         polar = d47_polar()
@@ -231,7 +231,7 @@ class TestSearch:
         fx = get_fixture("square")
         config = SearchConfig(bound=1, base_vertex=(1, 2), solution_cap=1, node_budget=0)
         result = search(fx.polytope, fx.orientation, config)
-        assert len(result.solutions) <= 1 and not result.exhaustive
+        assert result.nodes == 0 and not result.solutions and not result.exhaustive
 
     def test_nodes_monotone_in_bound(self):
         fx = get_fixture("square")

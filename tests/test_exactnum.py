@@ -354,34 +354,6 @@ class TestGf2:
         assert support == set() and rhs == 1
 
 
-def cone_overlap_2d_oracle(a1, a2, b1, b2):
-    """Interior overlap of 2D cones by exact angular-interval reasoning.
-
-    Assumes each cone is salient (generators not opposite) and
-    full-dimensional.  A point is interior iff it is a strictly positive
-    combination of the generators; for 2D cones interiors overlap iff the
-    open angular sectors intersect.
-    """
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    def strictly_inside(p, g1, g2):
-        s = cross(g1, g2)
-        return cross(g1, p) * s > 0 and cross(p, g2) * s > 0
-
-    # sample candidate interior directions: generator sums and midpoints
-    candidates = []
-    for u in (a1, a2, b1, b2):
-        for v in (a1, a2, b1, b2):
-            candidates.append((u[0] + v[0], u[1] + v[1]))
-    candidates += [a1, a2, b1, b2]
-    for p in candidates:
-        if strictly_inside(p, a1, a2) and strictly_inside(p, b1, b2):
-            return True
-    return False
-
-
 class TestStrictFeasibility:
     def test_equal_pair(self):
         x, y = strict_feasibility([[1, -1]])

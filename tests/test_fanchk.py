@@ -1,19 +1,27 @@
 """Tests for cone membership, interior overlap, and fan properness."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from qtoric import fanchk
+from qtoric.cli import main
 from qtoric.errors import ConeDegeneracyError, ValidationError
+from qtoric.exactnum import strict_feasibility
 from qtoric.fanchk import (
     SimplicialCone,
     cone_membership,
     cones_from_charmap,
     cones_overlap_interior,
     fan_properness,
+    separated_by_facet,
 )
 from qtoric.fixtures import get_fixture
+
+from field_oracle import cones_overlap_interior as lp_overlap_oracle
 
 
 def overlap_2d_oracle(a, b):
@@ -43,15 +51,45 @@ def overlap_2d_oracle(a, b):
     )
 
 
-def random_salient_cone(rng):
+def random_cone(rng, n, keep=()):
+    """A cone in Z^n with entries in [-3, 3] whose generators include keep;
+    a full-dimensional simplicial cone is salient."""
     while True:
-        g1 = (rng.randint(-3, 3), rng.randint(-3, 3))
-        g2 = (rng.randint(-3, 3), rng.randint(-3, 3))
-        d = g1[0] * g2[1] - g1[1] * g2[0]
-        if d == 0:
+        gens = list(keep) + [
+            tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n - len(keep))
+        ]
+        rng.shuffle(gens)
+        try:
+            return SimplicialCone.of(gens)
+        except ConeDegeneracyError:
             continue
-        # salient: generators not opposite (always true when det != 0)
-        return SimplicialCone.of([g1, g2])
+
+
+def random_gl(rng, n):
+    """A matrix in GL(n,Z): a signed permutation, then row additions."""
+    perm = rng.sample(range(n), n)
+    u = [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def moved(u, cone):
+    return SimplicialCone.of(
+        [tuple(sum(a * x for a, x in zip(row, g)) for row in u) for g in cone.generators]
+    )
+
+
+def seeded_cone_pairs(seed, per_dim=150):
+    """(n, a, b, u) in dimensions 2..4; every other b shares 1..n generators
+    with a, and u is a GL(n,Z) matrix to move the pair by."""
+    rng = random.Random(seed)
+    for n in (2, 3, 4):
+        for k in range(per_dim):
+            a = random_cone(rng, n)
+            keep = rng.sample(a.generators, rng.randint(1, n)) if k % 2 else ()
+            yield n, a, random_cone(rng, n, keep), random_gl(rng, n)
 
 
 class TestCone:
@@ -100,20 +138,86 @@ class TestOverlap:
     def test_symmetric(self):
         rng = random.Random(31)
         for _ in range(40):
-            a = random_salient_cone(rng)
-            b = random_salient_cone(rng)
+            a = random_cone(rng, 2)
+            b = random_cone(rng, 2)
             assert cones_overlap_interior(a, b)[0] == cones_overlap_interior(b, a)[0]
 
     def test_matches_2d_angular_oracle(self):
         rng = random.Random(37)
         for _ in range(120):
-            a = random_salient_cone(rng)
-            b = random_salient_cone(rng)
+            a = random_cone(rng, 2)
+            b = random_cone(rng, 2)
             overlap, ray = cones_overlap_interior(a, b)
             assert overlap == overlap_2d_oracle(a, b), (a, b)
             if overlap:
                 for c in (a, b):
                     assert cone_membership(c, ray)[1]
+
+
+class TestSignTestAgainstLpOracle:
+    """The facet sign test in front of the LP changes no verdict and no
+    witness ray: the LP-only overlap test is the oracle."""
+
+    def test_verdicts_and_witness_rays_match(self):
+        # how each pair was decided, per dimension
+        decided = {n: Counter() for n in (2, 3, 4)}
+        for n, a, b, u in seeded_cone_pairs(2003):
+            sign = separated_by_facet(a, b) or separated_by_facet(b, a)
+            for x, y in ((a, b), (moved(u, a), moved(u, b))):
+                result = cones_overlap_interior(x, y)
+                assert result == lp_overlap_oracle(x, y), (x, y)
+                # the test reads G^-1 A only, which GL(n,Z) leaves alone
+                assert (separated_by_facet(x, y) or separated_by_facet(y, x)) == sign
+            overlap, _ = result
+            decided[n]["sign" if sign else "overlap" if overlap else "lp"] += 1
+        for n in (3, 4):
+            assert min(decided[n][k] for k in ("sign", "lp", "overlap")) > 0, decided
+        # in the plane a separating line turns onto a generator: never undecided
+        assert decided[2]["lp"] == 0 and decided[2]["sign"] > 0
+
+    def test_separated_means_lp_infeasible(self):
+        separated = 0
+        for _, a, b, _ in seeded_cone_pairs(77, per_dim=100):
+            for x, y in ((a, b), (b, a)):
+                if separated_by_facet(x, y):
+                    separated += 1
+                    rows = [
+                        rx + [-v for v in ry]
+                        for rx, ry in zip(x.matrix_rows(), y.matrix_rows())
+                    ]
+                    assert strict_feasibility(rows) is None
+        assert separated > 100
+
+
+class TestFanCheckLpTraffic:
+    """Only the pairs the sign test leaves open reach the LP."""
+
+    @pytest.mark.parametrize(
+        "case, pairs, lp_calls",
+        [("barnette", 171, 83), ("d47", 91, 25), ("cross4", 120, 0)],
+    )
+    def test_lp_calls(self, monkeypatch, tmp_path, capsys, case, pairs, lp_calls):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("strict_feasibility", "cones_overlap_interior"):
+            monkeypatch.setattr(fanchk, name, counted(name, getattr(fanchk, name)))
+        argv = ["fan-check", f"fixtures:{case}"]
+        if case == "cross4":
+            unit = [[int(i == j) for j in range(4)] for i in range(4)]
+            path = tmp_path / "cross4.json"
+            vectors = unit + [[-x for x in row] for row in unit]
+            path.write_text(json.dumps({"kind": "charmap", "rank": 4, "vectors": vectors}))
+            argv.append(str(path))
+        main(argv)
+        capsys.readouterr()
+        assert calls == Counter(cones_overlap_interior=pairs, strict_feasibility=lp_calls)
 
 
 class TestFanProperness:
