@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import charmap as cm_mod
@@ -116,8 +117,7 @@ def _exit(ok: bool) -> int:
 
 
 def _polar(ctx: Context) -> PolarPolytope:
-    angles = _need(ctx.angles, "an angles document")
-    return cyclic.build_polar(CaratheodoryRealization.of(angles.eighth_turns))
+    return cyclic.polar_of_angles(_need(ctx.angles, "an angles document").eighth_turns)
 
 
 def _structure(ctx: Context):
@@ -330,7 +330,13 @@ def _cmd_search(ctx: Context, args) -> Result:
     return verdict, details, EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every main call.
+
+    Sharing is safe: parse_args returns a fresh Namespace, the append action
+    copies its default, and nothing mutates the inputs lists it returns.
+    """
     parser = argparse.ArgumentParser(
         prog="qtoric",
         description=(

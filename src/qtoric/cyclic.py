@@ -14,6 +14,7 @@ vertices, which stay Fraction for rational point sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -273,6 +274,20 @@ def build_polar(r: CaratheodoryRealization) -> PolarPolytope:
     """Polar dual of a Caratheodory realization, cross-checked against
     Gale's evenness condition."""
     return build_polar_from_points(r.points, gale_facets(r.n, 4))
+
+
+@cache
+def polar_of_angles(eighth_turns: Tuple[int, ...]) -> PolarPolytope:
+    """build_polar of the realization at these angles, once per process.
+
+    The key is the angle tuple, not the realization: hashing its
+    Sqrt2Number points costs about as much as the rest of a cached call.
+    The cache needs no size limit, since only the 93 subsets of {0..7}
+    with 5 to 8 elements can yield a polar, and a failed build raises and
+    is not cached.  The polar is frozen all the way down, so callers share
+    it safely.
+    """
+    return build_polar(CaratheodoryRealization.of(eighth_turns))
 
 
 def vertex_orientation_tuples(p: PolarPolytope) -> OrientationData:

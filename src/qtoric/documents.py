@@ -1,10 +1,10 @@
 """Strict document format for CLI inputs and outputs.
 
-Documents are JSON objects with a "kind" tag; unknown fields are rejected,
-integers are arbitrary precision, indices are 1-based, and Q(sqrt 2) values
-are serialized as exact fraction pairs {"rat": "p/q", "sqrt2": "r/s"} --
-never decimals.  Serialization is canonical: serializing twice yields
-byte-identical text.
+Documents are JSON objects with a "kind" tag; unknown fields and repeated
+keys (at any depth) are rejected, integers are arbitrary precision, indices
+are 1-based, and Q(sqrt 2) values are serialized as exact fraction pairs
+{"rat": "p/q", "sqrt2": "r/s"} -- never decimals.  Serialization is
+canonical: serializing twice yields byte-identical text.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from .charmap import CharacteristicMap
 from .charsearch import SearchConfig
@@ -219,10 +219,21 @@ _ENCODERS = {
 }
 
 
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """A JSON object's members as a dict; a repeated key is an error, where
+    plain json.loads would keep only the last of them."""
+    obj: Dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(key, "repeated key")
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str) -> Document:
     """Parse a document with strict structural validation."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):

@@ -10,12 +10,7 @@ from typing import Optional, Tuple
 
 from .charmap import CharacteristicMap
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
-from .cyclic import (
-    CaratheodoryRealization,
-    PolarPolytope,
-    build_polar,
-    vertex_orientation_tuples,
-)
+from .cyclic import PolarPolytope, polar_of_angles, vertex_orientation_tuples
 from .errors import ValidationError
 
 
@@ -239,10 +234,9 @@ def get_fixture(name: str) -> Fixture:
     return builder()
 
 
-@lru_cache(maxsize=None)
 def d47_polar() -> PolarPolytope:
     """The polar D4(7), built exactly from the seven-angle realization."""
-    return build_polar(CaratheodoryRealization.of(D47_ANGLES))
+    return polar_of_angles(D47_ANGLES)
 
 
 @lru_cache(maxsize=None)

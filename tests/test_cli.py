@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+import qtoric
+from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
+from qtoric.cyclic import polar_of_angles
 from qtoric.documents import serialize_document
 from qtoric.fixtures import FIXTURE_NAMES, d47_orientation, get_fixture
 
@@ -349,6 +355,16 @@ class TestErrorsAndOutput:
         assert "cannot write" in err
         assert not out.exists()
 
+    def test_repeated_key_rejected(self, capsys, tmp_path):
+        # read last-wins, the second list would fail with a det-0 vertex
+        doc = tmp_path / "repeated.json"
+        doc.write_text(
+            '{"kind": "charmap", "rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1]], '
+            '"vectors": [[1, 0], [1, 0], [0, 1]]}'
+        )
+        err = assert_input_error(capsys, "check-unimodular", "fixtures:triangle", str(doc))
+        assert "vectors: repeated key" in err
+
     def test_extra_input_flag(self, capsys, tmp_path):
         cm = tmp_path / "cm.json"
         cm.write_text(serialize_document(get_fixture("square").charmap))
@@ -357,3 +373,119 @@ class TestErrorsAndOutput:
         )
         assert code == EXIT_OK
         assert report["verdict"] == "pass"
+
+
+def run_any(capsys, argv, output=None):
+    """Exit code (argparse's on a usage error), stdout, stderr, and the text
+    written to `output`, which is then removed."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = None
+    if output is not None and os.path.exists(output):
+        with open(output, encoding="utf-8") as fh:
+            written = fh.read()
+        os.remove(output)
+    return code, captured.out, captured.err, written
+
+
+class TestSharedParser:
+    """main reuses one parser per process; no call may leak into the next."""
+
+    def argvs(self, tmp_path, output):
+        bad = tmp_path / "det0.json"
+        bad.write_text(json.dumps(
+            {"kind": "charmap", "rank": 2, "vectors": [[1, 0], [1, 0], [0, 1]]}
+        ))
+        return [
+            ["fixtures"],
+            ["fixtures", "pentagon", "--output", output],
+            ["fvector", "fixtures:barnette"],
+            ["hvector", "fixtures:barnette", "--output", output],
+            ["orient", "fixtures:rp2_6"],
+            ["dualize", "fixtures:simplex4"],
+            ["cyclic-gen", "fixtures:d47"],
+            ["gale", "--n", "7", "--d", "4"],
+            ["gale", "--n", "6"],
+            ["polar", "fixtures:d47", "--output", output],
+            ["orient-tuples", "fixtures:d47"],
+            # with --input the triangle fails; a leaked --input list would
+            # make the plain call fail too
+            ["check-unimodular", "fixtures:triangle", "--input", str(bad)],
+            ["check-unimodular", "fixtures:triangle"],
+            ["signs", "fixtures:d47"],
+            ["almost-complex", "fixtures:pentagon"],
+            ["flip-solve", "fixtures:d47"],
+            ["fan-check", "fixtures:pentagon"],
+            ["search", "fixtures:triangle", "--bound", "1", "--goal", "all-positive",
+             "--base-vertex", "1,2", "--node-budget", "100", "--max-printed", "0"],
+            ["search", "fixtures:triangle"],
+            ["search", "fixtures:triangle", "--goal", "sideways"],
+            ["fvector"],
+        ]
+
+    def test_reused_parser_matches_a_cold_one(self, capsys, tmp_path):
+        output = str(tmp_path / "out.json")
+        argvs = self.argvs(tmp_path, output)
+        cold = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            cold.append(run_any(capsys, argv, output))
+        assert [c[0] for c in cold].count(EXIT_INPUT_ERROR) == 3
+
+        build_parser.cache_clear()
+        parser = build_parser()
+        order = list(range(len(argvs)))
+        for i in order + order[::-1]:
+            assert run_any(capsys, argvs[i], output) == cold[i], argvs[i]
+        assert build_parser() is parser
+
+        assert parser.get_default("inputs") == []
+        assert parser.get_default("extra_inputs") == []
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, subparser in sub.choices.items():
+            assert not subparser.get_default("inputs"), command
+            assert not subparser.get_default("extra_inputs"), command
+
+
+class TestPolarMemo:
+    @pytest.mark.parametrize(
+        "turns, message",
+        [([0, 1, 2, 3, 4], "origin is not interior"), ([0, 1, 8, 3, 4], "0 <= k < 8")],
+        ids=["origin-outside", "angle-out-of-range"],
+    )
+    def test_failed_builds_fail_on_every_repeat(self, capsys, tmp_path, turns, message):
+        doc = tmp_path / "angles.json"
+        doc.write_text(json.dumps({"kind": "angles", "eighth_turns": turns}))
+        size = polar_of_angles.cache_info().currsize
+        for _ in range(3):
+            assert message in assert_input_error(capsys, "polar", str(doc))
+        assert polar_of_angles.cache_info().currsize == size
+
+
+class TestOneShot:
+    def test_subprocess_matches_warm_in_process_main(self, capsys, tmp_path):
+        unit = [[int(i == j) for j in range(4)] for i in range(4)]
+        cross = tmp_path / "cross4.json"
+        cross.write_text(json.dumps(
+            {"kind": "charmap", "rank": 4, "vectors": unit + [[-x for x in r] for r in unit]}
+        ))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qtoric.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for argv in (
+            ["fvector", "fixtures:barnette"],
+            ["polar", "fixtures:d47"],
+            ["fan-check", "fixtures:cross4", str(cross)],
+        ):
+            run(capsys, *argv)
+            code, out, err = run(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED) and out
+            proc = subprocess.run(
+                [sys.executable, "-m", "qtoric.cli", *argv],
+                capture_output=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, out.encode("utf-8"), err.encode("utf-8")
+            ), argv

@@ -9,12 +9,14 @@ import pytest
 
 from qtoric.cyclic import (
     CaratheodoryRealization,
+    build_polar,
     build_polar_from_points,
     caratheodory_point,
     compare_orientation_tuples,
     contains_origin_interior,
     gale_facets,
     permutation_parity,
+    polar_of_angles,
     verify_facets_geometric,
     vertex_orientation_tuples,
 )
@@ -29,7 +31,7 @@ from qtoric.errors import (
     ValidationError,
 )
 from qtoric.exactnum import SQRT2_ZERO, Sqrt2Number, strict_feasibility
-from qtoric.fixtures import D47_REFERENCE_TUPLES, d47_orientation, d47_polar
+from qtoric.fixtures import D47_ANGLES, D47_REFERENCE_TUPLES, d47_orientation, d47_polar
 
 from field_oracle import det_field, hyperplane_polar, matrix_rank
 
@@ -230,6 +232,25 @@ class TestBuildPolar:
         polar = d47_polar()
         assert polar.polytope.num_facets == 7
         assert len(polar.polytope.vertices) == 14
+
+    def test_polar_of_angles_is_shared_and_equals_a_fresh_build(self):
+        ks = (0, 2, 3, 5, 6, 7)
+        polar = polar_of_angles(ks)
+        assert polar_of_angles(tuple(list(ks))) is polar
+        assert polar == build_polar(CaratheodoryRealization.of(ks))
+        assert d47_polar() is polar_of_angles(D47_ANGLES)
+
+    @pytest.mark.parametrize(
+        "ks, error",
+        [((0, 1, 2, 3, 4), PolarityError), ((0, 1, 8, 3, 4), FieldCoverageError)],
+        ids=["origin-outside", "angle-out-of-range"],
+    )
+    def test_polar_of_angles_does_not_cache_failures(self, ks, error):
+        size = polar_of_angles.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                polar_of_angles(ks)
+        assert polar_of_angles.cache_info().currsize == size
 
     def test_origin_outside(self):
         with pytest.raises(PolarityError):

@@ -87,6 +87,23 @@ class TestStrictness:
         with pytest.raises(SchemaError):
             parse_document("[1, 2, 3]")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"kind": "charmap", "rank": 2, "vectors": [[1, 0]], '
+             '"vectors": [[0, 1]]}', "vectors"),
+            ('{"kind": "angles", "kind": "angles", "eighth_turns": [0, 1]}', "kind"),
+            # a nested object is not valid anywhere, but the repeat is seen first
+            ('{"kind": "angles", "eighth_turns": [{"k": 0, "k": 1}]}', "k"),
+        ],
+        ids=["field", "kind", "nested"],
+    )
+    def test_repeated_key_rejected_at_any_depth(self, text, key):
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert err.value.field == key
+        assert "repeated key" in str(err.value)
+
     def test_three_vector_among_four_names_facet(self):
         text = json.dumps(
             {

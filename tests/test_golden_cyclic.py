@@ -23,6 +23,7 @@ import tempfile
 from itertools import combinations
 
 from qtoric.cli import main
+from qtoric.cyclic import polar_of_angles
 from qtoric.fixtures import get_fixture
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cyclic.json")
@@ -106,6 +107,8 @@ def test_reports_match_golden():
         golden = json.load(fh)
     assert len(golden) == 3 * 94 + len(FAN_FIXTURES) + 1 + 2 * len(FAN_SEEDS)
     assert digests() == golden
+    # only the angle subsets that yield a polar are cached, each once
+    assert polar_of_angles.cache_info().currsize <= 93
 
 
 if __name__ == "__main__":
