@@ -111,7 +111,7 @@ def _check_orientation(structure: Structure, orientation: OrientationData) -> No
     if len(orientation.tuples) != len(cells):
         raise ValidationError("orientation data does not match the cell list")
     for t, cell in zip(orientation.tuples, cells):
-        if frozenset(t) != cell:
+        if len(t) != len(cell) or frozenset(t) != cell:
             raise ValidationError(
                 f"orientation tuple {t} is not a permutation of cell {sorted(cell)}"
             )

@@ -127,7 +127,7 @@ def _structure(ctx: Context):
         polar = _polar(ctx)
         ctx.polytope = polar.polytope
         if ctx.orientation is None:
-            ctx.orientation = cyclic.vertex_orientation_tuples(polar)
+            ctx.orientation = polar.orientation
     if ctx.polytope is not None:
         return ctx.polytope
     return _need(ctx.complex, "a polytope, complex, or angles input")
@@ -212,7 +212,7 @@ def _cmd_polar(ctx: Context, args) -> Result:
 
 
 def _cmd_orient_tuples(ctx: Context, args) -> Result:
-    orientation = cyclic.vertex_orientation_tuples(_polar(ctx))
+    orientation = _polar(ctx).orientation
     details: Dict[str, Any] = {"orientation": document_to_obj(orientation)}
     if tuple(ctx.angles.eighth_turns) != D47_ANGLES:
         return "ok", details, EXIT_OK

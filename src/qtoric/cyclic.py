@@ -211,16 +211,18 @@ def contains_origin_interior(r_or_points) -> bool:
 
 @dataclass(frozen=True)
 class PolarPolytope:
-    """The polar dual: combinatorics plus exact vertex coordinates.
+    """The polar dual: combinatorics, exact vertex coordinates, orientation.
 
     Facet i of the polar corresponds to primal point i; its supporting
-    functional is <p_i, y> <= 1.  vertex_coords is aligned with
+    functional is <p_i, y> <= 1.  vertex_coords and orientation, the
+    positively ordered facet tuple at each vertex, are aligned with
     polytope.vertices.
     """
 
     polytope: SimplePolytope
     vertex_coords: Tuple[Vector, ...]
     facet_points: Tuple[Vector, ...]
+    orientation: OrientationData
 
 
 def build_polar_from_points(
@@ -232,10 +234,15 @@ def build_polar_from_points(
     The polar vertex dual to the facet with points P_F solves P_F u = 1: by
     Cramer's rule on the lifted rows, u_j = det(P_F, column j set to 1) /
     det P_F, converted once to a Sqrt2Number (a Fraction when every
-    coordinate is rational).  Raises DegeneracyError when a facet holds more
-    than d points (the polar is not simple) and NonVertexError when a point
-    lies on no facet.  When expected_facets is given the geometric facet
-    list must match it.
+    coordinate is rational).  At that vertex the edge leaving polar facet f
+    is column f of -P_F^-1 times a positive diagonal matrix, so the edge
+    vectors, in the sorted order of F, have determinant of sign
+    (-1)^d det P_F.  The sorted tuple is therefore positively ordered when
+    sign(det P_F) = (-1)^d and is otherwise swapped in its first two
+    entries (in dimension 1 a tuple has only one order and is kept).
+    Raises DegeneracyError when a facet holds more than d points (the
+    polar is not simple) and NonVertexError when a point lies on no facet.
+    When expected_facets is given the geometric facet list must match it.
     """
     pts: Tuple[Vector, ...] = tuple(tuple(p) for p in points)
     lifted, sqrt2 = _lifted(pts)
@@ -258,16 +265,18 @@ def build_polar_from_points(
     missing = set(range(1, len(pts) + 1)).difference(*facets)
     if missing:
         raise NonVertexError(f"point {min(missing)} is not a vertex: it lies on no facet")
-    polytope = dualize(SimplicialComplex.of(len(pts), facets))
-    dual_vertex = {}
+    coords, tuples = [], []
     for face, det in zip(facets, dets):
         rows = [lifted[i - 1] for i in face]
-        dual_vertex[frozenset(face)] = tuple(
+        coords.append(tuple(
             divide_z2(det_z2([row[:j] + row[d:] + row[j + 1 : d] for row in rows]), det, sqrt2)
             for j in range(d)
-        )
-    coords = tuple(dual_vertex[vertex] for vertex in polytope.vertices)
-    return PolarPolytope(polytope, coords, pts)
+        ))
+        positive = (sign_z2(det) > 0) == (d % 2 == 0)
+        tuples.append(face if positive or d == 1 else (face[1], face[0]) + face[2:])
+    # dualize keeps the facet order, so coords and tuples align with its vertices
+    polytope = dualize(SimplicialComplex.of(len(pts), facets))
+    return PolarPolytope(polytope, tuple(coords), pts, OrientationData(tuple(tuples)))
 
 
 def build_polar(r: CaratheodoryRealization) -> PolarPolytope:
@@ -288,28 +297,6 @@ def polar_of_angles(eighth_turns: Tuple[int, ...]) -> PolarPolytope:
     it safely.
     """
     return build_polar(CaratheodoryRealization.of(eighth_turns))
-
-
-def vertex_orientation_tuples(p: PolarPolytope) -> OrientationData:
-    """Positively ordered facet tuples at every vertex of the polar.
-
-    At the vertex dual to the facet with points P (as rows, in sorted
-    order), the edge leaving polar facet f is column f of -P^-1 times a
-    positive diagonal matrix, so the edge vectors have determinant of sign
-    (-1)^d det P.  The sorted tuple is kept when that sign is positive and
-    otherwise permuted by one transposition.
-    """
-    rows, _, _ = clear_denominators(p.facet_points)
-    d = len(rows[0])
-    tuples = []
-    for vertex in p.polytope.vertices:
-        base = sorted(vertex)
-        det = det_z2([rows[i - 1] for i in base])
-        if (sign_z2(det) > 0) == (d % 2 == 0):
-            tuples.append(tuple(base))
-        else:
-            tuples.append((base[1], base[0]) + tuple(base[2:]))
-    return OrientationData(tuple(tuples))
 
 
 def permutation_parity(src: Sequence[int], dst: Sequence[int]) -> int:

@@ -152,10 +152,6 @@ def coerce_sqrt2(x) -> Sqrt2Number:
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(sqrt 2)")
 
 
-def sign_sqrt2(x: Sqrt2Number) -> int:
-    return coerce_sqrt2(x).sign()
-
-
 # ---------------------------------------------------------------------------
 # Integer matrices
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Optional, Tuple
 
 from .charmap import CharacteristicMap
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
-from .cyclic import PolarPolytope, polar_of_angles, vertex_orientation_tuples
+from .cyclic import PolarPolytope, polar_of_angles
 from .errors import ValidationError
 
 
@@ -239,6 +239,6 @@ def d47_polar() -> PolarPolytope:
     return polar_of_angles(D47_ANGLES)
 
 
-@lru_cache(maxsize=None)
 def d47_orientation() -> OrientationData:
-    return vertex_orientation_tuples(d47_polar())
+    """The positively ordered facet tuples at the vertices of D4(7)."""
+    return d47_polar().orientation

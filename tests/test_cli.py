@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import qtoric
+import qtoric.cyclic
 from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from qtoric.cyclic import polar_of_angles
 from qtoric.documents import serialize_document
@@ -297,6 +298,19 @@ class TestSearchCommand:
             err = assert_input_error(capsys, *argv)
             assert "orientation" in err
 
+    @pytest.mark.parametrize("command", ["signs", "almost-complex", "flip-solve", "search"])
+    def test_orientation_tuple_with_repeated_label(self, capsys, tmp_path, command):
+        # (1, 2, 2) covers the set {1, 2} but is no ordering of the cell
+        tuples = [list(t) for t in get_fixture("pentagon").orientation.tuples]
+        tuples[0] = [1, 2, 2]
+        path = tmp_path / "orientation.json"
+        path.write_text(json.dumps({"kind": "orientation", "tuples": tuples}))
+        argv = [command, "fixtures:pentagon", str(path)]
+        if command == "search":
+            argv += ["--base-vertex", "1,2"]
+        err = assert_input_error(capsys, *argv)
+        assert "orientation tuple (1, 2, 2) is not a permutation of cell [1, 2]" in err
+
 
 class TestErrorsAndOutput:
     def test_malformed_json_file(self, capsys, tmp_path):
@@ -463,6 +477,28 @@ class TestPolarMemo:
         for _ in range(3):
             assert message in assert_input_error(capsys, "polar", str(doc))
         assert polar_of_angles.cache_info().currsize == size
+
+
+class TestOrientationTraffic:
+    """The polar carries its orientation: a repeat call computes no minor."""
+
+    def test_repeat_calls_make_no_det_z2_calls(self, monkeypatch, capsys):
+        calls = []
+        det_z2 = qtoric.cyclic.det_z2
+
+        def counted(rows):
+            calls.append(len(rows))
+            return det_z2(rows)
+
+        monkeypatch.setattr(qtoric.cyclic, "det_z2", counted)
+        argvs = [[command, "fixtures:d47"] for command in ("orient-tuples", "signs", "flip-solve")]
+        for argv in argvs:
+            run(capsys, *argv)
+        calls.clear()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED) and out
+        assert calls == []
 
 
 class TestOneShot:

@@ -18,7 +18,6 @@ from qtoric.cyclic import (
     permutation_parity,
     polar_of_angles,
     verify_facets_geometric,
-    vertex_orientation_tuples,
 )
 from qtoric.complexes import OrientationData
 from qtoric.errors import (
@@ -333,8 +332,7 @@ class TestBuildPolar:
 class TestOrientationTuples:
     def test_square_counterclockwise(self):
         polar = build_polar_from_points([(1, 0), (0, 1), (-1, 0), (0, -1)])
-        orientation = vertex_orientation_tuples(polar)
-        computed = set(orientation.tuples)
+        computed = set(polar.orientation.tuples)
         assert {frozenset(t) for t in computed} == {
             frozenset(s) for s in [(1, 2), (2, 3), (3, 4), (1, 4)]
         }
@@ -342,6 +340,11 @@ class TestOrientationTuples:
         for t in computed:
             a, b = t
             assert (b - a) % 4 == 1 or (a - b) % 4 == 1
+
+    def test_one_dimensional_polar_keeps_its_one_tuples(self):
+        polar = build_polar_from_points([(1,), (-2,)])
+        assert polar.vertex_coords == ((Fraction(1),), (Fraction(-1, 2),))
+        assert polar.orientation.tuples == ((1,), (2,))
 
     def test_agrees_with_edge_vector_oracle(self):
         # also certifies every polar vertex it builds
@@ -357,7 +360,7 @@ class TestOrientationTuples:
                 assert not contains_origin_interior(r)
                 continue
             assert_polar_certificate(polar)
-            assert vertex_orientation_tuples(polar) == edge_vector_tuples(polar)
+            assert polar.orientation == edge_vector_tuples(polar)
             compared += 1
         for points in random_point_sets(13, 200):
             try:
@@ -366,7 +369,7 @@ class TestOrientationTuples:
                 continue
             assert all(type(x) is Fraction for c in polar.vertex_coords for x in c)
             assert_polar_certificate(polar)
-            assert vertex_orientation_tuples(polar) == edge_vector_tuples(polar)
+            assert polar.orientation == edge_vector_tuples(polar)
             compared += 1
         assert compared >= 40
 
