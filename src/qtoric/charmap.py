@@ -76,6 +76,11 @@ def _check_coverage(structure: Structure, cm: CharacteristicMap) -> None:
         raise CoverageError(
             f"map assigns {cm.num_carriers} vectors but the structure has {m} carriers"
         )
+    for cell in cells_of(structure):
+        if len(cell) != cm.rank:
+            raise CoverageError(
+                f"map has rank {cm.rank} but cell {cell_label(cell)} has {len(cell)} carriers"
+            )
 
 
 def _cell_det(cm: CharacteristicMap, ordered: Sequence[int]) -> int:

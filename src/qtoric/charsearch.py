@@ -1,8 +1,13 @@
 """Bounded backtracking search for characteristic maps.
 
 The GL(n,Z) basis freedom is quotiented by pinning the base vertex's
-positively ordered vectors to the identity; the remaining carriers are
-assigned depth-first with determinant pruning at every completed cell.
+positively ordered vectors to the identity.  `plan_search` validates the
+inputs once and fixes the plan: the carrier order, the positively ordered
+cells each depth completes, and the determinants the goal accepts, read
+from the one `GOALS` table.  `search` walks that plan in one depth-first
+loop, keeping a candidate only when every cell it completes is accepted.
+The search is exhaustive within its entry bound only: evidence, not proof,
+outside it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .cyclic import permutation_parity
 from .errors import NormalizationError, ValidationError
 from .exactnum import adjugate, det_int, is_primitive
 
-GOAL_UNIMODULAR = "unimodular"
-GOAL_ALL_POSITIVE = "all_positive"
+# goal -> the determinants it accepts at every cell, columns in positive order
+GOALS: Dict[str, Tuple[int, ...]] = {"unimodular": (1, -1), "all_positive": (1,)}
 
 
 @dataclass(frozen=True)
@@ -32,13 +37,12 @@ class SearchConfig:
     """Bounded-entry search specification.
 
     base_vertex is an ordered carrier tuple naming one cell; its vectors are
-    pinned to e_1..e_n in that order.  goal is "unimodular" (|det| = 1 at
-    every cell) or "all_positive" (det = +1 in positively ordered columns).
+    pinned to e_1..e_n in that order.  goal is a key of GOALS.
     """
 
     bound: int
     base_vertex: Tuple[int, ...]
-    goal: str = GOAL_UNIMODULAR
+    goal: str = "unimodular"
     order: Optional[Tuple[int, ...]] = None
     solution_cap: Optional[int] = None
     node_budget: int = 10**9
@@ -46,12 +50,23 @@ class SearchConfig:
     def __post_init__(self):
         if self.bound < 1:
             raise ValidationError("entry bound must be >= 1")
-        if self.goal not in (GOAL_UNIMODULAR, GOAL_ALL_POSITIVE):
+        if self.goal not in GOALS:
             raise ValidationError(f"unknown goal {self.goal!r}")
         if self.solution_cap is not None and self.solution_cap < 1:
             raise ValidationError(f"solution cap must be >= 1, not {self.solution_cap}")
         if self.node_budget < 0:
             raise ValidationError(f"node budget must be >= 0, not {self.node_budget}")
+
+
+@dataclass(frozen=True)
+class SearchPlan:
+    """What the search loop reads, validated by plan_search: order[k] is the
+    carrier assigned at depth k, and completed[k] holds the positively
+    ordered tuples of the cells that assigning it completes."""
+
+    order: Tuple[int, ...]
+    completed: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    accepted: Tuple[int, ...]
 
 
 @dataclass
@@ -122,93 +137,74 @@ def assignment_order(
     return order
 
 
-def search(
-    structure: Structure,
-    orientation: OrientationData,
-    config: SearchConfig,
-) -> SearchResult:
-    """Exhaustive bounded search for characteristic maps.
+def plan_search(structure: Structure, orientation: OrientationData,
+                config: SearchConfig) -> SearchPlan:
+    """Validate the search inputs and fix the plan the loop walks.
 
-    The base vertex's vectors are fixed to the identity in the order given
-    by config.base_vertex; that tuple is taken as positively ordered, so if
-    the supplied orientation gives it the opposite parity the whole
-    orientation is reversed first (the two conventions describe the same
-    search up to an ambient reflection).
+    The base vertex's vectors are pinned to the identity in the order of
+    config.base_vertex.  That tuple is taken as positively ordered, so if the
+    orientation gives it the opposite parity the whole orientation is
+    reversed first (the same search up to an ambient reflection).
     """
     _check_orientation(structure, orientation)
     cells = cells_of(structure)
-    n = len(config.base_vertex)
-    base_set = frozenset(config.base_vertex)
-    try:
-        base_cell_pos = list(cells).index(base_set)
-    except ValueError:
+    base = frozenset(config.base_vertex)
+    if len(base) != len(config.base_vertex) or base not in cells:
         raise ValidationError(
             f"base vertex {config.base_vertex} is not a cell of the structure"
         )
     tuples = orientation.tuples
-    if permutation_parity(config.base_vertex, tuples[base_cell_pos]) < 0:
+    if permutation_parity(config.base_vertex, tuples[cells.index(base)]) < 0:
         tuples = orientation.reversed().tuples
 
-    m = num_carriers_of(structure)
-    assignment: Dict[int, Tuple[int, ...]] = {}
-    for k, carrier in enumerate(config.base_vertex):
-        assignment[carrier] = tuple(1 if i == k else 0 for i in range(n))
-
-    order = (
-        list(config.order)
-        if config.order is not None
-        else assignment_order(structure, config.base_vertex)
-    )
-    if sorted(order) != sorted(set(range(1, m + 1)) - set(config.base_vertex)):
+    order = tuple(assignment_order(structure, config.base_vertex)
+                  if config.order is None else config.order)
+    free = set(range(1, num_carriers_of(structure) + 1)) - base
+    if sorted(order) != sorted(free):
         raise ValidationError("assignment order must cover the free carriers")
 
-    # cells completed at each depth: all carriers assigned once order[:depth+1]
-    assigned_so_far = set(config.base_vertex)
-    completed_at: List[List[int]] = []
-    for c in order:
-        assigned_so_far.add(c)
-        completed_at.append(
-            [
-                ci
-                for ci, cell in enumerate(cells)
-                if c in cell and cell <= assigned_so_far
-            ]
-        )
+    assigned = set(base)
+    completed = []
+    for carrier in order:
+        assigned.add(carrier)
+        completed.append(tuple(
+            t for t, cell in zip(tuples, cells) if carrier in cell and cell <= assigned
+        ))
+    return SearchPlan(order, tuple(completed), GOALS[config.goal])
 
+
+def search(structure: Structure, orientation: OrientationData,
+           config: SearchConfig) -> SearchResult:
+    """Exhaustive bounded search for characteristic maps (see plan_search)."""
+    plan = plan_search(structure, orientation, config)
+    n = len(config.base_vertex)
+    # vectors[i] is carrier i's vector; a backtracked carrier keeps a stale
+    # one, which no cell completed at a shallower depth reads
+    vectors: List[Optional[Tuple[int, ...]]] = [None] * (num_carriers_of(structure) + 1)
+    for k, carrier in enumerate(config.base_vertex):
+        vectors[carrier] = tuple(1 if i == k else 0 for i in range(n))
     candidates = candidate_vectors(n, config.bound)
     result = SearchResult()
 
-    def cell_ok(ci: int) -> bool:
-        # the columns in positive order, passed as rows: det M^T = det M
-        d = det_int([assignment[i] for i in tuples[ci]])
-        if config.goal == GOAL_ALL_POSITIVE:
-            return d == 1
-        return abs(d) == 1
-
     def dfs(depth: int) -> bool:
         """Returns False when the search must stop (cap or budget hit)."""
-        if depth == len(order):
-            vectors = tuple(assignment[i] for i in range(1, m + 1))
-            result.solutions.append(CharacteristicMap(n, vectors))
-            if (
-                config.solution_cap is not None
-                and len(result.solutions) >= config.solution_cap
-            ):
+        if depth == len(plan.order):
+            result.solutions.append(CharacteristicMap(n, tuple(vectors[1:])))
+            if len(result.solutions) == config.solution_cap:
                 result.exhaustive = False
                 return False
             return True
-        carrier = order[depth]
+        carrier, completed = plan.order[depth], plan.completed[depth]
         for cand in candidates:
             if result.nodes == config.node_budget:
                 result.exhaustive = False
                 return False
             result.nodes += 1
-            assignment[carrier] = cand
-            if all(cell_ok(ci) for ci in completed_at[depth]):
+            vectors[carrier] = cand
+            # the columns in positive order, passed as rows: det M^T = det M
+            if all(det_int([vectors[i] for i in t]) in plan.accepted for t in completed):
                 if not dfs(depth + 1):
-                    del assignment[carrier]
                     return False
-            del assignment[carrier]
         return True
 
     dfs(0)

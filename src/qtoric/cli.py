@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from . import charmap as cm_mod
 from . import charsearch, complexes, cyclic, fanchk
 from .charmap import CharacteristicMap
-from .charsearch import SearchConfig
+from .charsearch import GOALS, SearchConfig
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .cyclic import AngleSpec, CaratheodoryRealization, PolarPolytope
 from .documents import (
@@ -96,7 +96,7 @@ def _load_inputs(tokens: Sequence[str]) -> Context:
             try:
                 with open(token, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise InputError(f"cannot read {token}: {exc}")
             doc = parse_document(text)
             parts = {_FIELD_OF_KIND[doc.kind]: doc.value}
@@ -289,8 +289,17 @@ def _cmd_fan_check(ctx: Context, args) -> Result:
     return "proper" if ok else "improper", details, _exit(ok)
 
 
-def _search_config(args) -> SearchConfig:
-    """The search_config the flags give, when no document gives one."""
+_SEARCH_FLAGS = ("bound", "goal", "base_vertex", "node_budget")
+
+
+def _search_config(ctx: Context, args) -> SearchConfig:
+    """The search_config document, or the one the flags give; not both."""
+    given = [name for name in _SEARCH_FLAGS if getattr(args, name) is not None]
+    if ctx.search_config is not None:
+        if given:
+            flag = "--" + given[0].replace("_", "-")
+            raise InputError(f"{flag} cannot be combined with a search_config document")
+        return ctx.search_config
     if args.base_vertex is None:
         raise InputError("search needs --base-vertex or a search_config document")
     try:
@@ -299,18 +308,19 @@ def _search_config(args) -> SearchConfig:
         raise InputError(
             f"--base-vertex takes facet labels like 2,1,3,7, not {args.base_vertex!r}"
         )
-    goal = args.goal.replace("-", "_")
-    return SearchConfig(
-        bound=args.bound, base_vertex=base_vertex, goal=goal, node_budget=args.node_budget
-    )
+    # the flags left out take SearchConfig's defaults; --bound defaults to 1
+    limits = {"bound": 1 if args.bound is None else args.bound}
+    if args.goal is not None:
+        limits["goal"] = args.goal.replace("-", "_")
+    if args.node_budget is not None:
+        limits["node_budget"] = args.node_budget
+    return SearchConfig(base_vertex=base_vertex, **limits)
 
 
 def _cmd_search(ctx: Context, args) -> Result:
     structure = _structure(ctx)
     orientation = _orientation(ctx)
-    config = ctx.search_config
-    if config is None:
-        config = _search_config(args)
+    config = _search_config(ctx, args)
     if args.max_printed < 0:
         raise InputError(f"--max-printed must be >= 0, not {args.max_printed}")
     result = charsearch.search(structure, orientation, config)
@@ -383,14 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("flip-solve", _cmd_flip_solve)
     add("fan-check", _cmd_fan_check)
     p = add("search", _cmd_search)
-    p.add_argument("--bound", type=int, default=1, help="entry bound B")
+    # these four default to None so that a search_config document can refuse them
+    p.add_argument("--bound", type=int, help="entry bound B (default 1)")
     p.add_argument(
-        "--goal",
-        choices=["unimodular", "all-positive"],
-        default="unimodular",
+        "--goal", choices=[g.replace("_", "-") for g in GOALS], help="default unimodular"
     )
     p.add_argument("--base-vertex", help="ordered facet labels, e.g. 2,1,3,7")
-    p.add_argument("--node-budget", type=int, default=10**9)
+    p.add_argument("--node-budget", type=int, help="default 10**9")
     p.add_argument("--max-printed", type=int, default=20, help="solutions to include in the report")
     p = add("fixtures", _cmd_fixtures, needs_inputs=False)
     p.add_argument("name", nargs="?", help="fixture name; omit to list")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from .charmap import CharacteristicMap
-from .charsearch import SearchConfig
+from .charsearch import GOALS, SearchConfig
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .cyclic import AngleSpec
 from .errors import ParseError, SchemaError
@@ -168,8 +168,9 @@ def _decode_search_config(obj: Dict[str, Any]) -> SearchConfig:
         ["order", "solution_cap", "node_budget"],
     )
     goal = obj["goal"]
-    if goal not in ("unimodular", "all_positive"):
-        raise SchemaError("goal", f"expected 'unimodular' or 'all_positive', got {goal!r}")
+    if goal not in GOALS:
+        expected = " or ".join(repr(name) for name in GOALS)
+        raise SchemaError("goal", f"expected {expected}, got {goal!r}")
     kwargs: Dict[str, Any] = {}
     if "order" in obj:
         kwargs["order"] = tuple(_int_list(obj["order"], "order"))
@@ -236,6 +237,11 @@ def parse_document(text: str) -> Document:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError("document is nested too deeply")
+    except ValueError as exc:
+        # e.g. an integer literal past the interpreter's digit limit
+        raise ParseError(str(exc))
     if not isinstance(obj, dict):
         raise SchemaError("$", "document must be a JSON object")
     kind = obj.get("kind")

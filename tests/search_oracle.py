@@ -1,0 +1,43 @@
+"""Unpruned brute-force oracle for the bounded characteristic-map search.
+
+brute_force_search fixes the base parity the way charsearch.plan_search
+does, then tries every assignment of candidate vectors to the free
+carriers and tests every cell, with no carrier order and no pruning by
+depth.  It is exponential in the number of free carriers, so it serves the
+small fixtures only (triangle, square).
+"""
+
+from itertools import product
+
+from qtoric.charmap import cells_of, num_carriers_of
+from qtoric.charsearch import candidate_vectors
+from qtoric.cyclic import permutation_parity
+from qtoric.exactnum import det_int
+
+
+def brute_force_search(structure, orientation, base, bound, goal):
+    """The solutions as carrier-ordered vector tuples, in enumeration order."""
+    n = len(base)
+    m = num_carriers_of(structure)
+    free = [i for i in range(1, m + 1) if i not in base]
+    cells = cells_of(structure)
+    tuples = orientation.tuples
+    base_pos = list(cells).index(frozenset(base))
+    if permutation_parity(base, tuples[base_pos]) < 0:
+        tuples = orientation.reversed().tuples
+    pinned = {c: tuple(1 if i == k else 0 for i in range(n))
+              for k, c in enumerate(base)}
+    solutions = []
+    for combo in product(candidate_vectors(n, bound), repeat=len(free)):
+        assignment = dict(pinned)
+        assignment.update(zip(free, combo))
+        ok = True
+        for tup in tuples:
+            cols = [assignment[i] for i in tup]
+            d = det_int([[cols[j][i] for j in range(n)] for i in range(n)])
+            ok = d == 1 if goal == "all_positive" else abs(d) == 1
+            if not ok:
+                break
+        if ok:
+            solutions.append(tuple(assignment[i] for i in range(1, m + 1)))
+    return solutions

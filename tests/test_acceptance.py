@@ -19,7 +19,7 @@ from qtoric.charmap import (
     sign_pattern,
     unimodularity_check,
 )
-from qtoric.charsearch import SearchConfig, candidate_vectors, search
+from qtoric.charsearch import SearchConfig, search
 from qtoric.complexes import (
     coherent_orientation,
     euler_characteristic,
@@ -35,7 +35,7 @@ from qtoric.cyclic import (
     permutation_parity,
     verify_facets_geometric,
 )
-from qtoric.exactnum import Gf2System, det_int, gf2_solve
+from qtoric.exactnum import Gf2System, gf2_solve
 from qtoric.fanchk import (
     SimplicialCone,
     cone_membership,
@@ -48,6 +48,8 @@ from qtoric.fixtures import (
     d47_polar,
     get_fixture,
 )
+
+from search_oracle import brute_force_search
 
 
 @contextmanager
@@ -348,34 +350,6 @@ def test_criterion_9_property_suites():
                 )
                 found = sorted(s.vectors for s in result.solutions)
                 assert found == sorted(
-                    brute_force_search(fx.polytope, fx.orientation, (1, 2), goal)
+                    brute_force_search(fx.polytope, fx.orientation, (1, 2), 1, goal)
                 )
 
-
-def brute_force_search(structure, orientation, base, goal):
-    from qtoric.charmap import cells_of
-
-    n = len(base)
-    m = num_carriers_of(structure)
-    free = [i for i in range(1, m + 1) if i not in base]
-    cells = cells_of(structure)
-    tuples = orientation.tuples
-    base_pos = list(cells).index(frozenset(base))
-    if permutation_parity(base, tuples[base_pos]) < 0:
-        tuples = orientation.reversed().tuples
-    pinned = {c: tuple(1 if i == k else 0 for i in range(n))
-              for k, c in enumerate(base)}
-    solutions = []
-    for combo in product(candidate_vectors(n, 1), repeat=len(free)):
-        assignment = dict(pinned)
-        assignment.update(zip(free, combo))
-        ok = True
-        for tup in tuples:
-            cols = [assignment[i] for i in tup]
-            d = det_int([[cols[j][i] for j in range(n)] for i in range(n)])
-            ok = d == 1 if goal == "all_positive" else abs(d) == 1
-            if not ok:
-                break
-        if ok:
-            solutions.append(tuple(assignment[i] for i in range(1, m + 1)))
-    return solutions

@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(CoverageError):
             unimodularity_check(square.polytope, short)
 
+    def test_rank_must_match_cell_size(self):
+        square = get_fixture("square")
+        rank3 = CharacteristicMap.of(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        with pytest.raises(CoverageError, match="rank 3 but cell 12 has 2 carriers"):
+            unimodularity_check(square.polytope, rank3)
+
 
 class TestUnimodularity:
     def test_fixtures_pass(self):

@@ -1,6 +1,6 @@
 """Tests for the bounded characteristic-map search."""
 
-from itertools import product
+import hashlib
 
 import pytest
 
@@ -15,11 +15,14 @@ from qtoric.charsearch import (
     assignment_order,
     candidate_vectors,
     normalize_map,
+    plan_search,
     search,
 )
 from qtoric.errors import NormalizationError, ValidationError
 from qtoric.exactnum import is_primitive
 from qtoric.fixtures import d47_orientation, d47_polar, get_fixture
+
+from search_oracle import brute_force_search
 
 
 class TestNormalize:
@@ -76,40 +79,24 @@ class TestOrder:
         assert sorted(order) == [5, 6, 7, 8]
 
 
-def brute_force_search(structure, orientation, base, bound, goal):
-    """Unpruned enumeration over all candidate assignments (small cases)."""
-    from qtoric.charmap import cells_of, num_carriers_of
-    from qtoric.exactnum import det_int
-
-    n = len(base)
-    m = num_carriers_of(structure)
-    free = [i for i in range(1, m + 1) if i not in base]
-    cells = cells_of(structure)
-    tuples = orientation.tuples
-    base_pos = list(cells).index(frozenset(base))
-    from qtoric.cyclic import permutation_parity
-
-    if permutation_parity(base, tuples[base_pos]) < 0:
-        tuples = orientation.reversed().tuples
-    pinned = {c: tuple(1 if i == k else 0 for i in range(n))
-              for k, c in enumerate(base)}
-    solutions = []
-    for combo in product(candidate_vectors(n, bound), repeat=len(free)):
-        assignment = dict(pinned)
-        assignment.update(zip(free, combo))
-        ok = True
-        for tup in tuples:
-            cols = [assignment[i] for i in tup]
-            d = det_int([[cols[j][i] for j in range(n)] for i in range(n)])
-            if goal == "all_positive":
-                ok = d == 1
-            else:
-                ok = abs(d) == 1
-            if not ok:
-                break
-        if ok:
-            solutions.append(tuple(assignment[i] for i in range(1, m + 1)))
-    return solutions
+class TestPlan:
+    def test_square_plan_follows_the_base_parity(self):
+        fx = get_fixture("square")
+        plan = plan_search(
+            fx.polytope, fx.orientation,
+            SearchConfig(bound=1, base_vertex=(1, 2), goal="all_positive"),
+        )
+        assert plan.order == (3, 4)
+        # each cell but the base is checked once, at the depth completing it
+        assert plan.completed == (((2, 3),), ((3, 4), (4, 1)))
+        assert plan.accepted == (1,)
+        # (2, 1) has the opposite parity to the orientation's (1, 2), so the
+        # plan carries the reversed tuples
+        reversed_plan = plan_search(
+            fx.polytope, fx.orientation, SearchConfig(bound=1, base_vertex=(2, 1))
+        )
+        assert reversed_plan.completed == (((3, 2),), ((4, 3), (1, 4)))
+        assert reversed_plan.accepted == (1, -1)
 
 
 class TestSearch:
@@ -157,6 +144,11 @@ class TestSearch:
         assert result.exhaustive
         assert result.nodes == 47760
         assert len(result.solutions) == 640
+        # the report lists the solutions in search order, so pin that order
+        ordered = repr(tuple(s.vectors for s in result.solutions)).encode()
+        assert hashlib.sha256(ordered).hexdigest() == (
+            "5b98c7348dff7872e49e4e542c70a86ecb058a0f8762f8503c3e095a4deb4884"
+        )
         reference = get_fixture("d47").charmap
         assert reference.vectors in {s.vectors for s in result.solutions}
 
@@ -200,6 +192,12 @@ class TestSearch:
             search(
                 fx.polytope, fx.orientation,
                 SearchConfig(bound=1, base_vertex=(1, 3)),
+            )
+        # a repeated label names no cell, though its set {1, 2} is one
+        with pytest.raises(ValidationError, match="not a cell"):
+            search(
+                fx.polytope, fx.orientation,
+                SearchConfig(bound=1, base_vertex=(1, 2, 2)),
             )
 
     def test_node_budget_clears_exhaustive_flag(self):

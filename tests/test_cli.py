@@ -222,6 +222,19 @@ class TestFanCommands:
             assert f"map assigns {len(wrong)} vectors" in err
 
 
+@pytest.mark.parametrize(
+    "command", ["check-unimodular", "signs", "flip-solve", "fan-check"]
+)
+def test_rank_mismatch_names_both_numbers(capsys, tmp_path, command):
+    # a rank-3 map on the 4-dimensional D4(7): one vector per facet, so only
+    # the rank is wrong
+    vectors = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    path = tmp_path / "cm.json"
+    path.write_text(json.dumps({"kind": "charmap", "rank": 3, "vectors": vectors}))
+    err = assert_input_error(capsys, command, "fixtures:d47", str(path))
+    assert "rank 3 but cell 1234 has 4 carriers" in err
+
+
 class TestSearchCommand:
     def test_triangle(self, capsys):
         code, report, _ = run_json(
@@ -281,6 +294,35 @@ class TestSearchCommand:
         }))
         assert_input_error(capsys, "search", "fixtures:triangle", str(path))
 
+    @pytest.mark.parametrize(
+        "flag", [["--bound", "2"], ["--goal", "unimodular"],
+                 ["--base-vertex", "1,2"], ["--node-budget", "5"]]
+    )
+    def test_search_flags_refused_with_a_search_config_document(
+        self, capsys, tmp_path, flag
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "kind": "search_config", "bound": 1, "base_vertex": [1, 2],
+            "goal": "all_positive",
+        }))
+        err = assert_input_error(capsys, "search", "fixtures:triangle", str(path), *flag)
+        assert flag[0] in err and "search_config" in err
+
+    def test_max_printed_applies_to_a_search_config_document(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "kind": "search_config", "bound": 1, "base_vertex": [1, 2],
+            "goal": "unimodular", "node_budget": 10,
+        }))
+        code, report, _ = run_json(
+            capsys, "search", "fixtures:square", str(path), "--max-printed", "0"
+        )
+        assert code == EXIT_OK
+        assert report["verdict"]["nodes_explored"] == 10
+        assert report["details"]["solutions"] == []
+        assert report["details"]["config"]["node_budget"] == 10
+
     @pytest.mark.parametrize("case", ["one-tuple", "swapped-6-7"])
     def test_orientation_must_match_cells(self, capsys, tmp_path, case):
         # search checks the orientation against the cells, as signs does
@@ -319,6 +361,18 @@ class TestErrorsAndOutput:
         code, _, err = run(capsys, "fvector", str(bad))
         assert code == EXIT_INPUT_ERROR
         assert "error:" in err
+
+    @pytest.mark.parametrize("case", ["nested-100000-deep", "int-of-5000-digits", "not-utf-8"])
+    def test_malformed_document_is_an_input_error(self, capsys, tmp_path, case):
+        data = {
+            "nested-100000-deep": b"[" * 100000 + b"]" * 100000,
+            "int-of-5000-digits": b'{"kind": "charmap", "rank": 1, "vectors": [[1%s]]}'
+            % (b"0" * 4999),
+            "not-utf-8": b'{"kind": "angles", "eighth_turns": [\xff]}',
+        }[case]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert_input_error(capsys, "check-unimodular", "fixtures:triangle", str(bad))
 
     def test_schema_violation(self, capsys, tmp_path):
         bad = tmp_path / "schema.json"
