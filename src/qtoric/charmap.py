@@ -76,11 +76,13 @@ def _check_coverage(structure: Structure, cm: CharacteristicMap) -> None:
         raise CoverageError(
             f"map assigns {cm.num_carriers} vectors but the structure has {m} carriers"
         )
-    for cell in cells_of(structure):
-        if len(cell) != cm.rank:
-            raise CoverageError(
-                f"map has rank {cm.rank} but cell {cell_label(cell)} has {len(cell)} carriers"
-            )
+    # every cell has one size: complexes are pure and polytopes simple
+    cells = cells_of(structure)
+    if cells and len(cells[0]) != cm.rank:
+        raise CoverageError(
+            f"map has rank {cm.rank} but cell {cell_label(cells[0])} "
+            f"has {len(cells[0])} carriers"
+        )
 
 
 def _cell_det(cm: CharacteristicMap, ordered: Sequence[int]) -> int:

@@ -40,8 +40,8 @@ class SearchConfig:
     pinned to e_1..e_n in that order.  goal is a key of GOALS.
     """
 
-    bound: int
     base_vertex: Tuple[int, ...]
+    bound: int = 1
     goal: str = "unimodular"
     order: Optional[Tuple[int, ...]] = None
     solution_cap: Optional[int] = None

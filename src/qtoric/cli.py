@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -308,13 +308,13 @@ def _search_config(ctx: Context, args) -> SearchConfig:
         raise InputError(
             f"--base-vertex takes facet labels like 2,1,3,7, not {args.base_vertex!r}"
         )
-    # the flags left out take SearchConfig's defaults; --bound defaults to 1
-    limits = {"bound": 1 if args.bound is None else args.bound}
+    # the flags left out take SearchConfig's defaults
+    limits = {name: getattr(args, name) for name in ("bound", "node_budget")}
     if args.goal is not None:
         limits["goal"] = args.goal.replace("-", "_")
-    if args.node_budget is not None:
-        limits["node_budget"] = args.node_budget
-    return SearchConfig(base_vertex=base_vertex, **limits)
+    return SearchConfig(
+        base_vertex=base_vertex, **{k: v for k, v in limits.items() if v is not None}
+    )
 
 
 def _cmd_search(ctx: Context, args) -> Result:
@@ -393,13 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
     add("flip-solve", _cmd_flip_solve)
     add("fan-check", _cmd_fan_check)
     p = add("search", _cmd_search)
-    # these four default to None so that a search_config document can refuse them
-    p.add_argument("--bound", type=int, help="entry bound B (default 1)")
+    # these four default to None so that a search_config document can refuse
+    # them; the help shows SearchConfig's defaults, which _search_config fills in
+    default = {f.name: f.default for f in fields(SearchConfig)}
+    p.add_argument("--bound", type=int, help=f"entry bound B (default {default['bound']})")
     p.add_argument(
-        "--goal", choices=[g.replace("_", "-") for g in GOALS], help="default unimodular"
+        "--goal",
+        choices=[g.replace("_", "-") for g in GOALS],
+        help=f"default {default['goal'].replace('_', '-')}",
     )
     p.add_argument("--base-vertex", help="ordered facet labels, e.g. 2,1,3,7")
-    p.add_argument("--node-budget", type=int, help="default 10**9")
+    p.add_argument("--node-budget", type=int, help=f"default {default['node_budget']}")
     p.add_argument("--max-printed", type=int, default=20, help="solutions to include in the report")
     p = add("fixtures", _cmd_fixtures, needs_inputs=False)
     p.add_argument("name", nargs="?", help="fixture name; omit to list")

@@ -168,7 +168,7 @@ def _decode_search_config(obj: Dict[str, Any]) -> SearchConfig:
         ["order", "solution_cap", "node_budget"],
     )
     goal = obj["goal"]
-    if goal not in GOALS:
+    if not isinstance(goal, str) or goal not in GOALS:
         expected = " or ".join(repr(name) for name in GOALS)
         raise SchemaError("goal", f"expected {expected}, got {goal!r}")
     kwargs: Dict[str, Any] = {}

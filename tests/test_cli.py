@@ -294,6 +294,15 @@ class TestSearchCommand:
         }))
         assert_input_error(capsys, "search", "fixtures:triangle", str(path))
 
+    @pytest.mark.parametrize("goal", [[], {}, "all-positive", None])
+    def test_bad_goal_in_search_config_document(self, capsys, tmp_path, goal):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "kind": "search_config", "bound": 1, "base_vertex": [1, 2], "goal": goal,
+        }))
+        err = assert_input_error(capsys, "search", "fixtures:triangle", str(path))
+        assert err.startswith("error: goal:")
+
     @pytest.mark.parametrize(
         "flag", [["--bound", "2"], ["--goal", "unimodular"],
                  ["--base-vertex", "1,2"], ["--node-budget", "5"]]
