@@ -2,14 +2,22 @@
 
 Indices are 1-based everywhere (vertices 1..num_vertices, facets
 1..num_facets) so that printed reports line up with the usual labels.
+
+A complex computes its ridge map, pseudomanifold offenders, coherent
+orientation and f-vector on first use and keeps them (immutable values), so
+a complex that is used again, like a process-cached fixture, computes each
+at most once.  A failure is not kept: asking again recomputes and raises
+again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import NonOrientableError, ValidationError
 
@@ -50,6 +58,75 @@ class SimplicialComplex:
     @property
     def dimension(self) -> int:
         return len(self.facets[0]) - 1
+
+    @cached_property
+    def ridges(self) -> Mapping[FrozenSet[int], Tuple[int, ...]]:
+        """Each ridge and the (0-based) indices of the facets containing it."""
+        return _ridge_map(self.facets)
+
+    @cached_property
+    def offending_ridges(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+        """The sorted ridges not in exactly two facets, with their counts."""
+        return tuple(sorted(
+            (tuple(sorted(ridge)), len(owners))
+            for ridge, owners in self.ridges.items() if len(owners) != 2
+        ))
+
+    @cached_property
+    def f_vector(self) -> FVector:
+        """Face counts per dimension, by enumerating subsets of the facets."""
+        d = self.dimension
+        faces = [set() for _ in range(d + 1)]
+        for f in self.facets:
+            verts = sorted(f)
+            for size in range(1, d + 2):
+                for sub in combinations(verts, size):
+                    faces[size - 1].add(sub)
+        return tuple(len(s) for s in faces)
+
+    @cached_property
+    def coherent_orientation(self) -> OrientationData:
+        """Propagate a coherent orientation across shared ridges by BFS.
+
+        Facet 0 is seeded with its sorted vertex tuple; each facet receives
+        its sorted tuple either as-is or with the first two entries swapped.
+        Raises NonOrientableError with a conflicting facet pair as
+        certificate.
+        """
+        if self.offending_ridges:
+            raise ValidationError(
+                f"not a pseudomanifold: ridges {list(self.offending_ridges)}"
+            )
+        ridges = self.ridges
+        sorted_facets = [tuple(sorted(f)) for f in self.facets]
+        sign: Dict[int, int] = {0: 1}
+        queue = [0]
+        while queue:
+            cur = queue.pop(0)
+            fcur = sorted_facets[cur]
+            for pos, v in enumerate(fcur):
+                ridge = self.facets[cur] - {v}
+                owners = ridges[ridge]
+                other = owners[0] if owners[1] == cur else owners[1]
+                fother = sorted_facets[other]
+                opos = fother.index(tuple(sorted(self.facets[other] - ridge))[0])
+                # coherence: induced ridge orientations must be opposite
+                needed = -sign[cur] * (-1) ** pos * (-1) ** opos
+                if other in sign:
+                    if sign[other] != needed:
+                        raise NonOrientableError(cur + 1, other + 1, ridge)
+                else:
+                    sign[other] = needed
+                    queue.append(other)
+        if len(sign) != len(self.facets):
+            raise ValidationError("complex is not connected")
+        tuples = []
+        for idx, f in enumerate(sorted_facets):
+            if sign[idx] > 0:
+                tuples.append(f)
+            else:
+                tuples.append((f[1], f[0]) + f[2:])
+        return OrientationData(tuple(tuples))
 
 
 @dataclass(frozen=True)
@@ -104,15 +181,8 @@ class OrientationData:
 
 
 def f_vector(k: SimplicialComplex) -> FVector:
-    """Face counts per dimension, by enumerating subsets of the facets."""
-    d = k.dimension
-    faces = [set() for _ in range(d + 1)]
-    for f in k.facets:
-        verts = sorted(f)
-        for size in range(1, d + 2):
-            for sub in combinations(verts, size):
-                faces[size - 1].add(sub)
-    return tuple(len(s) for s in faces)
+    """Face counts per dimension, computed once per complex."""
+    return k.f_vector
 
 
 def h_vector(f: Sequence[int], d: int) -> Tuple[int, ...]:
@@ -130,65 +200,27 @@ def euler_characteristic(f: Sequence[int]) -> int:
     return sum((-1) ** i * fi for i, fi in enumerate(f))
 
 
-def _ridges(k: SimplicialComplex) -> Dict[FrozenSet[int], List[int]]:
+def _ridge_map(
+    facets: Sequence[FrozenSet[int]],
+) -> Mapping[FrozenSet[int], Tuple[int, ...]]:
     out: Dict[FrozenSet[int], List[int]] = {}
-    for idx, f in enumerate(k.facets):
+    for idx, f in enumerate(facets):
         for v in f:
             out.setdefault(f - {v}, []).append(idx)
-    return out
+    return MappingProxyType({ridge: tuple(owners) for ridge, owners in out.items()})
 
 
 def pseudomanifold_check(
     k: SimplicialComplex,
 ) -> Tuple[bool, List[Tuple[Tuple[int, ...], int]]]:
     """Every ridge must lie in exactly two facets; returns offenders."""
-    offending = []
-    for ridge, owners in sorted(_ridges(k).items(), key=lambda kv: sorted(kv[0])):
-        if len(owners) != 2:
-            offending.append((tuple(sorted(ridge)), len(owners)))
-    return (not offending, offending)
+    return (not k.offending_ridges, list(k.offending_ridges))
 
 
 def coherent_orientation(k: SimplicialComplex) -> OrientationData:
-    """Propagate a coherent orientation across shared ridges by BFS.
-
-    Facet 0 is seeded with its sorted vertex tuple; each facet receives its
-    sorted tuple either as-is or with the first two entries swapped.  Raises
-    NonOrientableError with a conflicting facet pair as certificate.
-    """
-    ok, offending = pseudomanifold_check(k)
-    if not ok:
-        raise ValidationError(f"not a pseudomanifold: ridges {offending}")
-    ridges = _ridges(k)
-    sorted_facets = [tuple(sorted(f)) for f in k.facets]
-    sign: Dict[int, int] = {0: 1}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        fcur = sorted_facets[cur]
-        for pos, v in enumerate(fcur):
-            ridge = k.facets[cur] - {v}
-            owners = ridges[ridge]
-            other = owners[0] if owners[1] == cur else owners[1]
-            fother = sorted_facets[other]
-            opos = fother.index(tuple(sorted(k.facets[other] - ridge))[0])
-            # coherence: induced ridge orientations must be opposite
-            needed = -sign[cur] * (-1) ** pos * (-1) ** opos
-            if other in sign:
-                if sign[other] != needed:
-                    raise NonOrientableError(cur + 1, other + 1, ridge)
-            else:
-                sign[other] = needed
-                queue.append(other)
-    if len(sign) != len(k.facets):
-        raise ValidationError("complex is not connected")
-    tuples = []
-    for idx, f in enumerate(sorted_facets):
-        if sign[idx] > 0:
-            tuples.append(f)
-        else:
-            tuples.append((f[1], f[0]) + f[2:])
-    return OrientationData(tuple(tuples))
+    """The complex's coherent orientation, computed once per complex (see
+    `SimplicialComplex.coherent_orientation`)."""
+    return k.coherent_orientation
 
 
 def dualize(k: SimplicialComplex) -> SimplePolytope:

@@ -5,13 +5,24 @@ keys (at any depth) are rejected, integers are arbitrary precision, indices
 are 1-based, and Q(sqrt 2) values are serialized as exact fraction pairs
 {"rat": "p/q", "sqrt2": "r/s"} -- never decimals.  Serialization is
 canonical: serializing twice yields byte-identical text.
+
+Canonical JSON is the text of ``json.dumps(obj, sort_keys=True, indent=2)``
+plus a newline, written by a small recursive encoder instead: with
+``indent`` set, ``json`` falls back to its pure-Python encoder, which is
+about twice as slow.  Strings go through ``json``'s own ASCII escaper, ints
+through ``int.__repr__``, dict keys must be strings and are sorted, each
+list or dict is joined in one ``str.join``, and any other value (a float, a
+Fraction) raises TypeError.  ``tests/test_documents.py`` keeps ``json.dumps``
+as the oracle.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from .charmap import CharacteristicMap
@@ -240,8 +251,13 @@ def parse_document(text: str) -> Document:
     except RecursionError:
         raise ParseError("document is nested too deeply")
     except ValueError as exc:
-        # e.g. an integer literal past the interpreter's digit limit
-        raise ParseError(str(exc))
+        # json.loads raises a bare ValueError only for an integer literal
+        # past the interpreter's digit limit (Python 3.11, 3.10.7 and later)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            raise ParseError(str(exc))
+        raise ParseError(f"an integer literal is longer than {limit} digits, "
+                         "the longest integer a document may hold")
     if not isinstance(obj, dict):
         raise SchemaError("$", "document must be a JSON object")
     kind = obj.get("kind")
@@ -264,4 +280,36 @@ def serialize_document(value: DomainValue) -> str:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _encode(obj, "") + "\n"
+
+
+def _encode(obj: Any, indent: str) -> str:
+    """`obj` as indented JSON whose first line is not indented and whose
+    later lines start with `indent`."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([
+            encode_basestring_ascii(key) + ": " + _encode(value, inner)
+            for key, value in sorted(obj.items())
+        ])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_encode(item, inner) for item in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"cannot write {kind.__name__} as canonical JSON")

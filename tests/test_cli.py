@@ -9,6 +9,8 @@ import sys
 import pytest
 
 import qtoric
+import qtoric.charmap
+import qtoric.complexes
 import qtoric.cyclic
 from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from qtoric.cyclic import polar_of_angles
@@ -381,7 +383,11 @@ class TestErrorsAndOutput:
         }[case]
         bad = tmp_path / "bad.json"
         bad.write_bytes(data)
-        assert_input_error(capsys, "check-unimodular", "fixtures:triangle", str(bad))
+        err = assert_input_error(capsys, "check-unimodular", "fixtures:triangle", str(bad))
+        if case == "int-of-5000-digits":
+            # the message is about the document, not Python's own remedy
+            assert "set_int_max_str_digits" not in err
+            assert f"longer than {sys.get_int_max_str_digits()} digits" in err
 
     def test_schema_violation(self, capsys, tmp_path):
         bad = tmp_path / "schema.json"
@@ -562,6 +568,52 @@ class TestOrientationTraffic:
             code, out, _ = run(capsys, *argv)
             assert code in (EXIT_OK, EXIT_CHECK_FAILED) and out
         assert calls == []
+
+
+class TestComplexInvariantTraffic:
+    """A fixture complex computes its ridge map and orientation once per
+    process; a failed orientation is computed, and raised, again."""
+
+    @pytest.fixture
+    def ridge_maps(self, monkeypatch):
+        get_fixture.cache_clear()
+        calls = []
+        ridge_map = qtoric.complexes._ridge_map
+
+        def counted(facets):
+            calls.append(len(facets))
+            return ridge_map(facets)
+
+        monkeypatch.setattr(qtoric.complexes, "_ridge_map", counted)
+        return calls
+
+    def test_orient_builds_the_ridge_map_once(self, capsys, ridge_maps):
+        code, out, _ = run(capsys, "orient", "fixtures:barnette")
+        assert code == EXIT_OK and ridge_maps == [19]
+        assert run(capsys, "orient", "fixtures:barnette") == (code, out, "")
+        assert ridge_maps == [19]
+
+    def test_repeated_signs_build_no_new_orientation(self, monkeypatch, capsys, ridge_maps):
+        seen = []
+        sign_pattern = qtoric.charmap.sign_pattern
+
+        def spy(structure, cm, orientation):
+            seen.append(orientation)
+            return sign_pattern(structure, cm, orientation)
+
+        monkeypatch.setattr(qtoric.charmap, "sign_pattern", spy)
+        outs = {run(capsys, "signs", "fixtures:barnette") for _ in range(3)}
+        assert len(outs) == 1 and len(seen) == 3 and ridge_maps == [19]
+        cached = get_fixture("barnette").complex.coherent_orientation
+        assert all(orientation is cached for orientation in seen)
+
+    def test_non_orientable_certificate_on_every_call(self, capsys, ridge_maps):
+        reports = [run_json(capsys, "orient", "fixtures:rp2_6") for _ in range(3)]
+        code, report, _ = reports[0]
+        assert code == EXIT_CHECK_FAILED and report["verdict"] == "non-orientable"
+        assert set(report["details"]) == {"conflict_facets", "conflict_ridge"}
+        assert reports == [reports[0]] * 3
+        assert ridge_maps == [10]
 
 
 class TestOneShot:

@@ -17,7 +17,7 @@ from qtoric.complexes import (
 )
 from qtoric.cyclic import gale_facets, permutation_parity
 from qtoric.errors import NonOrientableError, ValidationError
-from qtoric.fixtures import get_fixture
+from qtoric.fixtures import BARNETTE_FACETS, get_fixture
 
 
 def simplex_boundary(n_vertices):
@@ -149,6 +149,29 @@ class TestOrientation:
         check_coherence(k, reversed_)
         for t, r in zip(orientation.tuples, reversed_.tuples):
             assert permutation_parity(t, r) == -1
+
+    def test_cached_orientation_matches_an_equal_fresh_complex(self):
+        k = get_fixture("barnette").complex
+        cached = coherent_orientation(k)
+        fresh = SimplicialComplex.of(8, BARNETTE_FACETS)
+        assert fresh == k and fresh is not k
+        # nothing is computed until it is asked for
+        assert not {"ridges", "offending_ridges", "coherent_orientation",
+                    "f_vector"} & set(vars(fresh))
+        assert coherent_orientation(k) is cached
+        assert coherent_orientation(fresh) == cached
+        assert coherent_orientation(fresh) is coherent_orientation(fresh)
+
+    def test_cached_invariants_are_immutable(self):
+        k = SimplicialComplex.of(8, BARNETTE_FACETS)
+        assert f_vector(k) is f_vector(k) == (8, 27, 38, 19)
+        assert isinstance(k.coherent_orientation.tuples, tuple)
+        assert all(isinstance(owners, tuple) for owners in k.ridges.values())
+        with pytest.raises(TypeError):
+            k.ridges[frozenset()] = ()
+        single = SimplicialComplex.of(4, [(1, 2, 3, 4)])
+        pseudomanifold_check(single)[1].clear()
+        assert len(pseudomanifold_check(single)[1]) == 4
 
     def test_rp2_non_orientable(self):
         with pytest.raises(NonOrientableError) as err:

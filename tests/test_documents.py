@@ -1,6 +1,8 @@
 """Tests for the strict JSON document layer."""
 
 import json
+import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,7 +166,77 @@ class TestNumbers:
         assert "." not in encoded
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
+
+
+def json_dumps_oracle(obj):
+    """The encoder canonical_json replaces, kept as its byte-for-byte oracle."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+STRING_PIECES = ("a", "Z", " ", "\"", "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                 "\u00e9", "\u221a2", "\u4e2d", "\U0001f600", "\ud800", "kind", "")
+
+
+def random_string(rng):
+    return "".join(rng.choice(STRING_PIECES) for _ in range(rng.randint(0, 6)))
+
+
+def random_scalar(rng):
+    return rng.choice([
+        lambda: random_string(rng),
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice([-1, 1]) * rng.randint(2**63, 2**200),
+        lambda: rng.choice([True, False]),
+        lambda: None,
+    ])()
+
+
+def random_value(rng, depth=0):
+    pick = rng.random() if depth < 4 else 1.0
+    if pick < 0.3:
+        return {random_string(rng): random_value(rng, depth + 1)
+                for _ in range(rng.randint(0, 4))}
+    if pick < 0.5:
+        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if pick < 0.6:
+        return tuple(random_value(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    if pick < 0.7:
+        return rng.choice([[], {}, [[]], [{}], {"": []}, [[], [[]]], ()])
+    return random_scalar(rng)
+
+
 class TestCanonicalJson:
+    def test_every_golden_report_reencodes_to_its_bytes(self):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            recorded = json.load(fh)["golden"]
+        stdouts = [r["stdout"] for r in recorded.values() if r["stdout"]]
+        assert len(stdouts) == 18
+        for text in stdouts:
+            obj = json.loads(text)
+            assert canonical_json(obj) == json_dumps_oracle(obj) == text
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_json_dumps_on_random_values(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            obj = random_value(rng)
+            assert canonical_json(obj) == json_dumps_oracle(obj), obj
+
+    @pytest.mark.parametrize("value", [
+        "", "\u00e9\"\\\n\x00", -(2**64), 2**64, True, False, None, (), [()], {"": {}},
+        {"b": [1, [2, []]], "a": ({},), "\u00e9": None, "A": True},
+    ])
+    def test_matches_json_dumps_on_edge_values(self, value):
+        assert canonical_json(value) == json_dumps_oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), [1, Fraction(1, 2)], {"x": Fraction(3)}, 1.5, {1: 2},
+    ])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
     def test_key_order_is_sorted(self):
         text = canonical_json({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
