@@ -9,6 +9,7 @@ vector carriers, together with a positively ordered tuple per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
@@ -41,7 +42,11 @@ class CharacteristicMap:
 
     @classmethod
     def of(cls, rank: int, vectors: Iterable[Sequence[int]]):
-        return cls(rank, tuple(tuple(int(x) for x in v) for v in vectors))
+        try:
+            vecs = tuple(tuple(index(x) for x in v) for v in vectors)
+        except TypeError as exc:
+            raise ValidationError(f"vector entries must be integers: {exc}") from None
+        return cls(rank, vecs)
 
     def vector(self, label: int) -> Tuple[int, ...]:
         return self.vectors[label - 1]

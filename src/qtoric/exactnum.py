@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError
@@ -158,8 +159,12 @@ def coerce_sqrt2(x) -> Sqrt2Number:
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    a = [[int(x) for x in row] for row in m]
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    Entries must be integers (anything with __index__); a float, Fraction
+    or string raises TypeError rather than being truncated.
+    """
+    a = [[index(x) for x in row] for row in m]
     if any(len(row) != len(a) for row in a):
         raise DimensionError("determinant of non-square matrix")
     n = len(a)
@@ -187,9 +192,10 @@ def adjugate(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
     """Integer adjugate and determinant, so that m * adj = det * I.
 
     adj[j][i] is the (i, j) cofactor, each a det_int of a minor; det is the
-    Laplace expansion of the first row over those cofactors.
+    Laplace expansion of the first row over those cofactors.  Entries are
+    taken as det_int takes them.
     """
-    a = [[int(x) for x in row] for row in m]
+    a = [[index(x) for x in row] for row in m]
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionError("adjugate of non-square matrix")

@@ -1,9 +1,12 @@
 """Simplicial cones from characteristic vectors and exact fan properness.
 
-Overlap of cone interiors is decided first by an integer sign test on the
-facet normals of each cone, which settles most separated pairs, and
-otherwise by an exact LP for a positive vector (x, y) in the kernel of
-[A | -B], that is A x = B y with x, y > 0; no epsilons anywhere.
+Overlap of cone interiors is decided in three exact steps, no epsilons
+anywhere.  A sign test on the facet normals of each cone settles most
+separated pairs.  A barycentre probe then settles many overlapping ones:
+the sum of one cone's generators lies strictly inside it, and when it is
+also strictly inside the other cone it is the witness ray.  Only the pairs
+left reach an exact LP for a positive vector (x, y) in the kernel of
+[A | -B], that is A x = B y with x, y > 0.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charmap import CharacteristicMap, Structure, _check_coverage, cells_of
@@ -36,7 +40,11 @@ class SimplicialCone:
 
     @classmethod
     def of(cls, generators: Sequence[Sequence[int]]):
-        return cls(tuple(tuple(int(x) for x in g) for g in generators))
+        try:
+            gens = tuple(tuple(index(x) for x in g) for g in generators)
+        except TypeError as exc:
+            raise ValidationError(f"cone generators must be integers: {exc}") from None
+        return cls(gens)
 
     @property
     def dim(self) -> int:
@@ -93,6 +101,25 @@ def separated_by_facet(a: SimplicialCone, b: SimplicialCone) -> bool:
     )
 
 
+def barycentre_witness(
+    a: SimplicialCone, b: SimplicialCone
+) -> Optional[Tuple[Fraction, ...]]:
+    """A ray strictly inside both cones from the sum of one cone's generators.
+
+    A 1 lies strictly inside A, and it is strictly inside B when S A 1 > 0
+    with S = sgn(det B) adj(B), the x = 1 case of separated_by_facet's
+    criterion; then A 1 is a witness.  Otherwise B 1 is tried against A.
+    Sound, not complete: None says nothing about the pair.
+    """
+    for x, y in ((a, b), (b, a)):
+        ray = [sum(coords) for coords in zip(*x.generators)]
+        adj, det = y.adjugate
+        sign = 1 if det > 0 else -1
+        if all(sign * sum(s * r for s, r in zip(row, ray)) > 0 for row in adj):
+            return tuple(Fraction(r) for r in ray)
+    return None
+
+
 def cones_overlap_interior(
     a: SimplicialCone, b: SimplicialCone
 ) -> Tuple[bool, Optional[Tuple[Fraction, ...]]]:
@@ -100,13 +127,17 @@ def cones_overlap_interior(
 
     Decides existence of x, y > 0 with A x = B y exactly.  A witness ray
     A x is returned when the interiors overlap (an improper intersection).
-    Pairs that separated_by_facet settles, either way round, skip the LP.
+    Pairs that separated_by_facet settles, either way round, skip the LP,
+    and so do pairs whose barycentre_witness is found.
     """
     n = a.dim
     if b.dim != n:
         raise ValidationError("cones live in different dimensions")
     if separated_by_facet(a, b) or separated_by_facet(b, a):
         return False, None
+    ray = barycentre_witness(a, b)
+    if ray is not None:
+        return True, ray
     arows = a.matrix_rows()
     # (x, y) > 0 in the kernel of [A | -B]
     witness = strict_feasibility(

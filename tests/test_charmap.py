@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestValidation:
     def test_non_primitive_vector_rejected(self):
         with pytest.raises(ValidationError):
             CharacteristicMap.of(2, [(2, 4), (0, 1)])
+
+    @pytest.mark.parametrize("bad", [1.5, 1.9, Fraction(3, 2), "1"], ids=repr)
+    def test_non_integer_entry_rejected(self, bad):
+        # int() would truncate 1.9 to 1 and pass (1, 0) as primitive
+        with pytest.raises(ValidationError, match="must be integers"):
+            CharacteristicMap.of(2, [(bad, 0), (0, 1)])
+
+    def test_int_and_bool_entries_accepted(self):
+        cm = CharacteristicMap.of(2, [(True, False), (0, 1)])
+        assert cm.vectors == ((1, 0), (0, 1))
+        assert all(type(x) is int for v in cm.vectors for x in v)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

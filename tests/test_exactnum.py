@@ -117,6 +117,23 @@ class TestAdjugate:
             adjugate([[1, 2]])
 
 
+class TestIntegerEntries:
+    """The integer kernel rejects non-integers instead of truncating them."""
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_non_integers_rejected(self, bad):
+        with pytest.raises(TypeError):
+            det_int([[bad, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            adjugate([[bad, 0], [0, 1]])
+
+    def test_ints_and_bools_accepted(self):
+        assert det_int([[True, False], [0, 1]]) == 1
+        adj, det = adjugate([[True, 2], [False, 3]])
+        assert (adj, det) == ([[3, -2], [0, 1]], 3)
+        assert all(type(x) is int for row in adj for x in row)
+
+
 class TestSympyCrossCheck:
     def test_det_and_adjugate_match_sympy(self):
         sympy = pytest.importorskip("sympy")

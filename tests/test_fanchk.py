@@ -13,6 +13,7 @@ from qtoric.errors import ConeDegeneracyError, ValidationError
 from qtoric.exactnum import strict_feasibility
 from qtoric.fanchk import (
     SimplicialCone,
+    barycentre_witness,
     cone_membership,
     cones_from_charmap,
     cones_overlap_interior,
@@ -81,6 +82,11 @@ def moved(u, cone):
     )
 
 
+def barycentre(cone):
+    """The sum of the generators, as the Fractions a witness ray carries."""
+    return tuple(Fraction(sum(coords)) for coords in zip(*cone.generators))
+
+
 def seeded_cone_pairs(seed, per_dim=150):
     """(n, a, b, u) in dimensions 2..4; every other b shares 1..n generators
     with a, and u is a GL(n,Z) matrix to move the pair by."""
@@ -100,6 +106,16 @@ class TestCone:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             SimplicialCone.of([(1, 2, 3), (0, 1, 0)])
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_non_integer_generator_rejected(self, bad):
+        with pytest.raises(ValidationError, match="must be integers"):
+            SimplicialCone.of([(bad, 0), (0, 1)])
+
+    def test_int_and_bool_generators_accepted(self):
+        c = SimplicialCone.of([(True, False), (0, 1)])
+        assert c.generators == ((1, 0), (0, 1))
+        assert all(type(x) is int for g in c.generators for x in g)
 
     def test_membership(self):
         c = SimplicialCone.of([(2, 1), (1, 2)])
@@ -155,23 +171,35 @@ class TestOverlap:
 
 
 class TestSignTestAgainstLpOracle:
-    """The facet sign test in front of the LP changes no verdict and no
-    witness ray: the LP-only overlap test is the oracle."""
+    """The facet sign test and the barycentre probe in front of the LP change
+    no verdict: the LP-only overlap test is the oracle.  A pair the probe
+    decides carries A 1 or B 1 as its witness, strictly inside both cones;
+    a pair the LP decides carries the oracle's witness."""
 
     def test_verdicts_and_witness_rays_match(self):
         # how each pair was decided, per dimension
         decided = {n: Counter() for n in (2, 3, 4)}
         for n, a, b, u in seeded_cone_pairs(2003):
             sign = separated_by_facet(a, b) or separated_by_facet(b, a)
+            probed = not sign and barycentre_witness(a, b) is not None
             for x, y in ((a, b), (moved(u, a), moved(u, b))):
                 result = cones_overlap_interior(x, y)
-                assert result == lp_overlap_oracle(x, y), (x, y)
-                # the test reads G^-1 A only, which GL(n,Z) leaves alone
+                oracle = lp_overlap_oracle(x, y)
+                assert result[0] == oracle[0], (x, y)
+                # both tests read G^-1 A only, which GL(n,Z) leaves alone
                 assert (separated_by_facet(x, y) or separated_by_facet(y, x)) == sign
+                if not probed:
+                    assert result == oracle, (x, y)
+                    continue
+                # the probe decides the moved pair too, with the moved ray
+                assert barycentre_witness(x, y) == result[1]
+                assert result[1] in (barycentre(x), barycentre(y)), (x, y)
+                assert all(cone_membership(c, result[1])[1] for c in (x, y))
             overlap, _ = result
-            decided[n]["sign" if sign else "overlap" if overlap else "lp"] += 1
+            bucket = "sign" if sign else "probe" if probed else "overlap" if overlap else "lp"
+            decided[n][bucket] += 1
         for n in (3, 4):
-            assert min(decided[n][k] for k in ("sign", "lp", "overlap")) > 0, decided
+            assert min(decided[n][k] for k in ("sign", "probe", "lp", "overlap")) > 0, decided
         # in the plane a separating line turns onto a generator: never undecided
         assert decided[2]["lp"] == 0 and decided[2]["sign"] > 0
 
@@ -190,23 +218,27 @@ class TestSignTestAgainstLpOracle:
 
 
 class TestFanCheckLpTraffic:
-    """Only the pairs the sign test leaves open reach the LP."""
+    """Only the pairs the sign test and the barycentre probe leave open
+    reach the LP."""
 
     @pytest.mark.parametrize(
-        "case, pairs, lp_calls",
-        [("barnette", 171, 83), ("d47", 91, 25), ("cross4", 120, 0)],
+        "case, pairs, probed, lp_calls",
+        [("barnette", 171, 25, 58), ("d47", 91, 7, 18), ("cross4", 120, 0, 0)],
     )
-    def test_lp_calls(self, monkeypatch, tmp_path, capsys, case, pairs, lp_calls):
+    def test_lp_calls(self, monkeypatch, tmp_path, capsys, case, pairs, probed, lp_calls):
         calls = Counter()
 
         def counted(name, fn):
             def wrapper(*args):
+                result = fn(*args)
                 calls[name] += 1
-                return fn(*args)
+                if name == "barycentre_witness" and result is not None:
+                    calls["probed"] += 1
+                return result
 
             return wrapper
 
-        for name in ("strict_feasibility", "cones_overlap_interior"):
+        for name in ("strict_feasibility", "cones_overlap_interior", "barycentre_witness"):
             monkeypatch.setattr(fanchk, name, counted(name, getattr(fanchk, name)))
         argv = ["fan-check", f"fixtures:{case}"]
         if case == "cross4":
@@ -217,7 +249,11 @@ class TestFanCheckLpTraffic:
             argv.append(str(path))
         main(argv)
         capsys.readouterr()
-        assert calls == Counter(cones_overlap_interior=pairs, strict_feasibility=lp_calls)
+        assert calls["cones_overlap_interior"] == pairs
+        assert calls["probed"] == probed
+        assert calls["strict_feasibility"] == lp_calls
+        # the probe runs on exactly the pairs the sign test leaves open
+        assert calls["barycentre_witness"] == probed + lp_calls
 
 
 class TestFanProperness:
