@@ -9,12 +9,11 @@ vector carriers, together with a positively ordered tuple per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .errors import CoverageError, UnimodularityError, ValidationError
-from .exactnum import Gf2System, det_int, is_primitive
+from .exactnum import Gf2System, as_ints, det_int, is_primitive
 
 Structure = Union[SimplePolytope, SimplicialComplex]
 SignPattern = Tuple[int, ...]
@@ -37,16 +36,18 @@ class CharacteristicMap:
                 raise ValidationError(
                     f"vector {i} has dimension {len(v)}, expected {self.rank}"
                 )
-            if not is_primitive(v):
+            try:
+                primitive = is_primitive(v)
+            except TypeError as exc:
+                raise ValidationError(
+                    f"vector {i} = {v}: entries must be integers: {exc}"
+                ) from None
+            if not primitive:
                 raise ValidationError(f"vector {i} = {v} is not primitive")
 
     @classmethod
     def of(cls, rank: int, vectors: Iterable[Sequence[int]]):
-        try:
-            vecs = tuple(tuple(index(x) for x in v) for v in vectors)
-        except TypeError as exc:
-            raise ValidationError(f"vector entries must be integers: {exc}") from None
-        return cls(rank, vecs)
+        return cls(rank, tuple(as_ints(v, "vector entries") for v in vectors))
 
     def vector(self, label: int) -> Tuple[int, ...]:
         return self.vectors[label - 1]

@@ -201,8 +201,12 @@ def search(structure: Structure, orientation: OrientationData,
                 return False
             result.nodes += 1
             vectors[carrier] = cand
-            # the columns in positive order, passed as rows: det M^T = det M
-            if all(det_int([vectors[i] for i in t]) in plan.accepted for t in completed):
+            # the columns in positive order, passed as rows: det M^T = det M;
+            # the first rejected cell prunes the candidate
+            for t in completed:
+                if det_int([vectors[i] for i in t]) not in plan.accepted:
+                    break
+            else:
                 if not dfs(depth + 1):
                     return False
         return True

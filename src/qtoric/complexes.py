@@ -20,6 +20,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import NonOrientableError, ValidationError
+from .exactnum import as_ints
 
 FVector = Tuple[int, ...]
 
@@ -53,7 +54,10 @@ class SimplicialComplex:
 
     @classmethod
     def of(cls, num_vertices: int, facets: Iterable[Iterable[int]]):
-        return cls(num_vertices, tuple(frozenset(int(v) for v in f) for f in facets))
+        return cls(
+            num_vertices,
+            tuple(frozenset(as_ints(f, "facet vertex labels")) for f in facets),
+        )
 
     @property
     def dimension(self) -> int:
@@ -162,7 +166,7 @@ class SimplePolytope:
         return cls(
             num_facets,
             dimension,
-            tuple(frozenset(int(f) for f in v) for v in vertices),
+            tuple(frozenset(as_ints(v, "vertex facet labels")) for v in vertices),
         )
 
 

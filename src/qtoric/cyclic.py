@@ -34,6 +34,7 @@ from .exactnum import (
     SQRT2_ZERO,
     Z2,
     Sqrt2Number,
+    as_ints,
     clear_denominators,
     det_z2,
     divide_z2,
@@ -102,7 +103,7 @@ class CaratheodoryRealization:
 
     @classmethod
     def of(cls, eighth_turns: Sequence[int]) -> "CaratheodoryRealization":
-        angles = AngleSpec(tuple(int(k) for k in eighth_turns))
+        angles = AngleSpec(as_ints(eighth_turns, "angles"))
         return cls(angles, tuple(caratheodory_point(k) for k in angles.eighth_turns))
 
     @property

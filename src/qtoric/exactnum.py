@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import index
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 
 Rationalish = Union[int, Fraction]
 
@@ -162,30 +162,41 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
     Entries must be integers (anything with __index__); a float, Fraction
-    or string raises TypeError rather than being truncated.
+    or string raises TypeError rather than being truncated.  Each row is
+    converted once; each elimination step reads its pivot row and pivot
+    once, swapping in a lower row with a nonzero entry when the pivot is 0,
+    and divides every update exactly by the previous pivot.
     """
-    a = [[index(x) for x in row] for row in m]
-    if any(len(row) != len(a) for row in a):
-        raise DimensionError("determinant of non-square matrix")
+    a = [list(map(index, row)) for row in m]
     n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise DimensionError("determinant of non-square matrix")
     if n == 0:
         return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        pivot = a[k]
+        p = pivot[k]
+        if not p:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+                if a[i][k]:
+                    a[k], a[i] = a[i], pivot
+                    pivot = a[k]
+                    p = pivot[k]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        rest = range(k + 1, n)
+        for i in rest:
+            row = a[i]
+            f = row[k]
+            for j in rest:
+                row[j] = (row[j] * p - f * pivot[j]) // prev
+        prev = p
+    return sign * a[-1][-1]
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
@@ -209,10 +220,20 @@ def adjugate(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
     return adj, det
 
 
+def as_ints(values: Iterable, what: str) -> Tuple[int, ...]:
+    """The values as ints, for a constructor: a float, Fraction or string
+    raises ValidationError naming `what` rather than being truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be integers: {exc}") from None
+
+
 def is_primitive(vector: Sequence[int]) -> bool:
+    """Whether the entries have gcd 1; a non-integer entry raises TypeError."""
     g = 0
     for x in vector:
-        g = gcd(g, abs(int(x)))
+        g = gcd(g, abs(index(x)))
     return g == 1
 
 
@@ -319,10 +340,15 @@ class Gf2System:
 
     @classmethod
     def of(cls, num_vars: int, equations: Iterable[Tuple[Iterable[int], int]]):
-        eqs = tuple(
-            (frozenset(int(v) for v in support), int(rhs) & 1)
-            for support, rhs in equations
-        )
+        try:
+            eqs = tuple(
+                (frozenset(map(index, support)), index(rhs) & 1)
+                for support, rhs in equations
+            )
+        except TypeError as exc:
+            raise ValidationError(
+                f"variable labels and right-hand sides must be integers: {exc}"
+            ) from None
         for support, _ in eqs:
             for v in support:
                 if not 1 <= v <= num_vars:

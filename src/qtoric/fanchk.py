@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charmap import CharacteristicMap, Structure, _check_coverage, cells_of
 from .errors import ConeDegeneracyError, ValidationError
-from .exactnum import adjugate, strict_feasibility
+from .exactnum import adjugate, as_ints, strict_feasibility
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,7 @@ class SimplicialCone:
 
     @classmethod
     def of(cls, generators: Sequence[Sequence[int]]):
-        try:
-            gens = tuple(tuple(index(x) for x in g) for g in generators)
-        except TypeError as exc:
-            raise ValidationError(f"cone generators must be integers: {exc}") from None
-        return cls(gens)
+        return cls(tuple(as_ints(g, "cone generators") for g in generators))
 
     @property
     def dim(self) -> int:

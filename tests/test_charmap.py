@@ -71,6 +71,16 @@ class TestValidation:
         assert cm.vectors == ((1, 0), (0, 1))
         assert all(type(x) is int for v in cm.vectors for x in v)
 
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_direct_construction_rejects_non_integers(self, bad):
+        # built without `of`, the map itself refuses to keep the entry
+        with pytest.raises(ValidationError, match="must be integers"):
+            CharacteristicMap(2, ((bad, 0), (0, 1)))
+
+    def test_direct_construction_accepts_ints_and_bools(self):
+        cm = CharacteristicMap(2, ((True, False), (0, 1)))
+        assert cm.vectors == ((1, 0), (0, 1))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             CharacteristicMap.of(3, [(1, 0), (0, 1), (1, 1)])

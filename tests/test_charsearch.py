@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from qtoric import charsearch, exactnum
 from qtoric.charmap import (
     CharacteristicMap,
     almost_complex_check,
@@ -18,11 +19,25 @@ from qtoric.charsearch import (
     plan_search,
     search,
 )
+from qtoric.complexes import coherent_orientation
 from qtoric.errors import NormalizationError, ValidationError
 from qtoric.exactnum import is_primitive
 from qtoric.fixtures import d47_orientation, d47_polar, get_fixture
 
 from search_oracle import brute_force_search
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Counts the determinants a search evaluates, at charsearch.det_int."""
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return exactnum.det_int(m)
+
+    monkeypatch.setattr(charsearch, "det_int", counted)
+    return calls
 
 
 class TestNormalize:
@@ -137,12 +152,13 @@ class TestSearch:
             # base tuple (1,2) matches the orientation's (1,2), no reversal
             assert ok
 
-    def test_d47_unimodular_bound_one(self):
+    def test_d47_unimodular_bound_one(self, det_calls):
         polar = d47_polar()
         config = SearchConfig(bound=1, base_vertex=(2, 1, 3, 7), goal="unimodular")
         result = search(polar.polytope, d47_orientation(), config)
         assert result.exhaustive
         assert result.nodes == 47760
+        assert det_calls[0] == 128582
         assert len(result.solutions) == 640
         # the report lists the solutions in search order, so pin that order
         ordered = repr(tuple(s.vectors for s in result.solutions)).encode()
@@ -152,17 +168,29 @@ class TestSearch:
         reference = get_fixture("d47").charmap
         assert reference.vectors in {s.vectors for s in result.solutions}
 
-    def test_d47_all_positive_empty_at_bounds_one_and_two(self):
+    def test_d47_all_positive_empty_at_bounds_one_and_two(self, det_calls):
         polar = d47_polar()
         expected_nodes = {1: 3280, 2: 86496}
+        expected_dets = {1: 4777, 2: 107461}
         for bound in (1, 2):
             config = SearchConfig(
                 bound=bound, base_vertex=(2, 1, 3, 7), goal="all_positive"
             )
+            det_calls[0] = 0
             result = search(polar.polytope, d47_orientation(), config)
             assert result.exhaustive
             assert result.solutions == []
             assert result.nodes == expected_nodes[bound]
+            assert det_calls[0] == expected_dets[bound]
+
+    def test_barnette_all_positive_empty_at_bound_one(self, det_calls):
+        fx = get_fixture("barnette")
+        config = SearchConfig(bound=1, base_vertex=(1, 2, 3, 4), goal="all_positive")
+        result = search(fx.complex, coherent_orientation(fx.complex), config)
+        assert result.exhaustive
+        assert result.solutions == []
+        assert result.nodes == 43440
+        assert det_calls[0] == 63288
 
     def test_order_override_changes_nodes_not_solutions(self):
         polar = d47_polar()

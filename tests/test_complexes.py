@@ -1,5 +1,6 @@
 """Tests for simplicial complexes, f/h-vectors, and orientations."""
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -235,3 +236,25 @@ class TestSimplePolytopeValidation:
     def test_unused_facet_rejected(self):
         with pytest.raises(ValidationError):
             SimplePolytope.of(3, 2, [(1, 2)])
+
+
+class TestIntegerLabels:
+    """Labels are taken with operator.index: int() read 1.5 as vertex 1
+    and 1.9 as facet 1."""
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_non_integer_vertex_label_rejected(self, bad):
+        with pytest.raises(ValidationError, match="must be integers"):
+            SimplicialComplex.of(4, [[bad, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_non_integer_facet_label_rejected(self, bad):
+        with pytest.raises(ValidationError, match="must be integers"):
+            SimplePolytope.of(3, 2, [[bad, 2], [2, 3], [1, 3]])
+
+    def test_int_and_bool_labels_accepted(self):
+        k = SimplicialComplex.of(4, [[True, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+        assert k == simplex_boundary(4)
+        p = SimplePolytope.of(3, 2, [[True, 2], [2, 3], [1, 3]])
+        assert p.vertices == (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}))
+        assert all(type(f) is int for v in p.vertices for f in v)

@@ -125,6 +125,17 @@ class TestCurvePoints:
         with pytest.raises(ValidationError):
             CaratheodoryRealization.of([0, 2, 1])
 
+    @pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), "1"], ids=repr)
+    def test_non_integer_angle_rejected(self, bad):
+        # int() read 0.5 as angle 0
+        with pytest.raises(ValidationError, match="must be integers"):
+            CaratheodoryRealization.of([bad, 2, 3, 4, 5])
+
+    def test_int_and_bool_angles_accepted(self):
+        r = CaratheodoryRealization.of([False, True, 2, 3, 4])
+        assert r.angles.eighth_turns == (0, 1, 2, 3, 4)
+        assert all(type(k) is int for k in r.angles.eighth_turns)
+
 
 class TestGale:
     def test_simplex_case(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qtoric.charmap import CharacteristicMap
-from qtoric.errors import DimensionError
+from qtoric.errors import DimensionError, ValidationError
 from qtoric.exactnum import (
     Gf2System,
     Sqrt2Number,
@@ -18,6 +18,7 @@ from qtoric.exactnum import (
     det_z2,
     divide_z2,
     gf2_solve,
+    is_primitive,
     sign_z2,
     strict_feasibility,
 )
@@ -77,6 +78,72 @@ class TestDetInt:
             assert det_int(flipped) == -det_int(m)
 
 
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def swap_every_step(rng, n, hi):
+    """S * U with S the cyclic row shift and U upper triangular with a
+    nonzero diagonal: at elimination step k the rows k..n-2 hold zeros in
+    column k and only row n-1 does not, so every step swaps rows."""
+    u = [[0] * j + [rng.choice((-1, 1)) * rng.randint(1, hi)]
+         + [rng.randint(-hi, hi) for _ in range(n - j - 1)] for j in range(n)]
+    return u[1:] + u[:1]
+
+
+def singular_by_last_column(rng, n, hi):
+    """A matrix whose leading (n-1) x (n-1) block is nonsingular, so the
+    elimination runs to its last step, and whose last column is an integer
+    combination of the others."""
+    while True:
+        m = [[rng.randint(-hi, hi) for _ in range(n - 1)] for _ in range(n)]
+        if det_cofactor(m[:-1]):
+            break
+    coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+    return [row + [sum(c * x for c, x in zip(coeffs, row))] for row in m]
+
+
+class TestDetIntEdges:
+    """The Bareiss loop on the inputs that exercise its branches, against
+    the cofactor oracle, for n = 0..6."""
+
+    SIZES = range(1, 7)
+    BIG = 2**70
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        for n in self.SIZES:
+            for hi in (3, self.BIG):
+                for _ in range(4):
+                    yield "swap", swap_every_step(rng, n, hi)
+                    if n >= 2:
+                        yield "singular", singular_by_last_column(rng, n, hi)
+                    yield "random", [[rng.randint(-hi, hi) for _ in range(n)]
+                                     for _ in range(n)]
+
+    def test_matches_cofactor_oracle(self):
+        assert det_int([]) == 1
+        seen = set()
+        for kind, m in self.cases(23):
+            want = det_cofactor(m)
+            assert det_int(m) == want, (kind, m)
+            assert det_int(transpose(m)) == want, (kind, m)
+            if kind == "singular":
+                assert want == 0
+            seen.add((kind, max(abs(x) for row in m for x in row) >= 2**64))
+        assert seen == {(k, big) for k in ("swap", "singular", "random")
+                        for big in (False, True)}
+
+    @pytest.mark.parametrize(
+        "ragged",
+        [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]],
+         [[]], [[1, 2]]],
+        ids=repr,
+    )
+    def test_ragged_input_rejected(self, ragged):
+        with pytest.raises(DimensionError):
+            det_int(ragged)
+
 
 def random_int_matrices(seed, count=30):
     """Random integer matrices of size 1-5; a third of them made singular."""
@@ -127,8 +194,26 @@ class TestIntegerEntries:
         with pytest.raises(TypeError):
             adjugate([[bad, 0], [0, 1]])
 
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_is_primitive_rejects_non_integers(self, bad):
+        # abs(int(x)) read (1.5, 2) as the primitive (1, 2)
+        with pytest.raises(TypeError):
+            is_primitive((bad, 2))
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_gf2_system_rejects_non_integers(self, bad):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Gf2System.of(2, [({bad, 2}, 1)])
+        with pytest.raises(ValidationError, match="must be integers"):
+            Gf2System.of(2, [({1, 2}, bad)])
+
     def test_ints_and_bools_accepted(self):
         assert det_int([[True, False], [0, 1]]) == 1
+        assert is_primitive((True, 2)) and not is_primitive((2, False))
+        system = Gf2System.of(2, [({True, 2}, True), ([2], 3)])
+        assert system.equations == ((frozenset({1, 2}), 1), (frozenset({2}), 1))
+        assert all(type(v) is int and type(rhs) is int
+                   for support, rhs in system.equations for v in support)
         adj, det = adjugate([[True, 2], [False, 3]])
         assert (adj, det) == ([[3, -2], [0, 1]], 3)
         assert all(type(x) is int for row in adj for x in row)
