@@ -13,7 +13,7 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .errors import CoverageError, UnimodularityError, ValidationError
-from .exactnum import Gf2System, as_ints, det_int, is_primitive
+from .exactnum import Gf2System, as_int, as_ints, det_int, is_primitive
 
 Structure = Union[SimplePolytope, SimplicialComplex]
 SignPattern = Tuple[int, ...]
@@ -31,23 +31,22 @@ class CharacteristicMap:
     vectors: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        for i, v in enumerate(self.vectors, start=1):
-            if len(v) != self.rank:
+        # the one place entries become ints, so a bool is kept as 0 or 1
+        rank = as_int(self.rank, "rank")
+        vectors = tuple(as_ints(v, "vector entries") for v in self.vectors)
+        for i, v in enumerate(vectors, start=1):
+            if len(v) != rank:
                 raise ValidationError(
-                    f"vector {i} has dimension {len(v)}, expected {self.rank}"
+                    f"vector {i} has dimension {len(v)}, expected {rank}"
                 )
-            try:
-                primitive = is_primitive(v)
-            except TypeError as exc:
-                raise ValidationError(
-                    f"vector {i} = {v}: entries must be integers: {exc}"
-                ) from None
-            if not primitive:
+            if not is_primitive(v):
                 raise ValidationError(f"vector {i} = {v} is not primitive")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "vectors", vectors)
 
     @classmethod
     def of(cls, rank: int, vectors: Iterable[Sequence[int]]):
-        return cls(rank, tuple(as_ints(v, "vector entries") for v in vectors))
+        return cls(rank, tuple(vectors))
 
     def vector(self, label: int) -> Tuple[int, ...]:
         return self.vectors[label - 1]

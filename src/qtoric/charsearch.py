@@ -26,7 +26,7 @@ from .charmap import (
 from .complexes import OrientationData
 from .cyclic import permutation_parity
 from .errors import NormalizationError, ValidationError
-from .exactnum import adjugate, det_int, is_primitive
+from .exactnum import adjugate, as_int, as_ints, det_int, is_primitive
 
 # goal -> the determinants it accepts at every cell, columns in positive order
 GOALS: Dict[str, Tuple[int, ...]] = {"unimodular": (1, -1), "all_positive": (1,)}
@@ -48,6 +48,14 @@ class SearchConfig:
     node_budget: int = 10**9
 
     def __post_init__(self):
+        # the one place numbers become ints, so a bool is kept as 0 or 1
+        object.__setattr__(self, "base_vertex", as_ints(self.base_vertex, "base_vertex"))
+        object.__setattr__(self, "bound", as_int(self.bound, "bound"))
+        if self.order is not None:
+            object.__setattr__(self, "order", as_ints(self.order, "order"))
+        if self.solution_cap is not None:
+            object.__setattr__(self, "solution_cap", as_int(self.solution_cap, "solution_cap"))
+        object.__setattr__(self, "node_budget", as_int(self.node_budget, "node_budget"))
         if self.bound < 1:
             raise ValidationError("entry bound must be >= 1")
         if self.goal not in GOALS:

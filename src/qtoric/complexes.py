@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import NonOrientableError, ValidationError
-from .exactnum import as_ints
+from .exactnum import as_int, as_ints
 
 FVector = Tuple[int, ...]
 
@@ -33,6 +33,11 @@ class SimplicialComplex:
     facets: Tuple[FrozenSet[int], ...]
 
     def __post_init__(self):
+        # the one place labels become ints, so a bool is kept as 0 or 1
+        object.__setattr__(self, "num_vertices", as_int(self.num_vertices, "num_vertices"))
+        object.__setattr__(self, "facets", tuple(
+            frozenset(as_ints(f, "facet vertex labels")) for f in self.facets
+        ))
         if self.num_vertices < 1:
             raise ValidationError("complex needs at least one vertex")
         if not self.facets:
@@ -54,10 +59,7 @@ class SimplicialComplex:
 
     @classmethod
     def of(cls, num_vertices: int, facets: Iterable[Iterable[int]]):
-        return cls(
-            num_vertices,
-            tuple(frozenset(as_ints(f, "facet vertex labels")) for f in facets),
-        )
+        return cls(num_vertices, tuple(facets))
 
     @property
     def dimension(self) -> int:
@@ -142,6 +144,12 @@ class SimplePolytope:
     vertices: Tuple[FrozenSet[int], ...]
 
     def __post_init__(self):
+        # the one place labels become ints, so a bool is kept as 0 or 1
+        object.__setattr__(self, "num_facets", as_int(self.num_facets, "num_facets"))
+        object.__setattr__(self, "dimension", as_int(self.dimension, "dimension"))
+        object.__setattr__(self, "vertices", tuple(
+            frozenset(as_ints(v, "vertex facet labels")) for v in self.vertices
+        ))
         seen = set()
         used = set()
         for v in self.vertices:
@@ -163,11 +171,7 @@ class SimplePolytope:
 
     @classmethod
     def of(cls, num_facets: int, dimension: int, vertices: Iterable[Iterable[int]]):
-        return cls(
-            num_facets,
-            dimension,
-            tuple(frozenset(as_ints(v, "vertex facet labels")) for v in vertices),
-        )
+        return cls(num_facets, dimension, tuple(vertices))
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,16 @@ class OrientationData:
 
     tuples: Tuple[Tuple[int, ...], ...]
     reversed_seed: bool = False
+
+    def __post_init__(self):
+        # the one place labels become ints, so a bool is kept as 0 or 1
+        object.__setattr__(self, "tuples", tuple(
+            as_ints(t, "orientation labels") for t in self.tuples
+        ))
+        if not isinstance(self.reversed_seed, bool):
+            raise ValidationError(
+                f"reversed_seed must be a bool, got {self.reversed_seed!r}"
+            )
 
     def reversed(self) -> "OrientationData":
         """The globally reversed orientation (first two entries swapped)."""

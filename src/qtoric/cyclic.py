@@ -73,8 +73,10 @@ class AngleSpec:
     eighth_turns: Tuple[int, ...]
 
     def __post_init__(self):
-        ks = self.eighth_turns
-        if any(not isinstance(k, int) or not 0 <= k < 8 for k in ks):
+        # the one place angles become ints, so a bool is kept as 0 or 1
+        ks = as_ints(self.eighth_turns, "angles")
+        object.__setattr__(self, "eighth_turns", ks)
+        if any(not 0 <= k < 8 for k in ks):
             raise FieldCoverageError(
                 f"angles must be integer multiples k*pi/4 with 0 <= k < 8, got {ks}"
             )
@@ -103,7 +105,7 @@ class CaratheodoryRealization:
 
     @classmethod
     def of(cls, eighth_turns: Sequence[int]) -> "CaratheodoryRealization":
-        angles = AngleSpec(as_ints(eighth_turns, "angles"))
+        angles = AngleSpec(tuple(eighth_turns))
         return cls(angles, tuple(caratheodory_point(k) for k in angles.eighth_turns))
 
     @property

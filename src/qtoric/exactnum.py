@@ -222,11 +222,24 @@ def adjugate(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
 
 def as_ints(values: Iterable, what: str) -> Tuple[int, ...]:
     """The values as ints, for a constructor: a float, Fraction or string
-    raises ValidationError naming `what` rather than being truncated."""
+    raises ValidationError naming `what` rather than being truncated, and a
+    bool becomes 0 or 1, so a value built from one serializes as a number.
+    A tuple of ints is returned as it is: the search builds each solution
+    from shared candidate vectors, and copies would raise its memory."""
+    if type(values) is tuple and all(type(x) is int for x in values):
+        return values
     try:
         return tuple(map(index, values))
     except TypeError as exc:
         raise ValidationError(f"{what} must be integers: {exc}") from None
+
+
+def as_int(value, what: str) -> int:
+    """One value as an int, taken as as_ints takes each of its values."""
+    try:
+        return index(value)
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be an integer: {exc}") from None
 
 
 def is_primitive(vector: Sequence[int]) -> bool:
@@ -432,8 +445,11 @@ def strict_feasibility(rows: Sequence[Sequence[Rationalish]]) -> Optional[Tuple[
     Substitutes x = 1 + s with s >= 0 (lossless, the system being a cone),
     so each row's right-hand side is -sum(row), and runs a phase-1 simplex
     with one artificial per row and Bland's rule (lowest eligible index),
-    which guarantees termination.  Entries must be ints or Fractions; the
-    witness is in Fractions.
+    which guarantees termination; ratio-test ties go to the lowest basic
+    variable.  Each pivot collects the pivot row's nonzero columns once and
+    updates the pivot row, the other rows and the objective row in place on
+    those columns only, since a zero in the pivot row changes nothing.
+    Entries must be ints or Fractions; the witness is in Fractions.
     """
     zero, one = Fraction(0), Fraction(1)
     m = len(rows)
@@ -467,15 +483,16 @@ def strict_feasibility(rows: Sequence[Sequence[Rationalish]]) -> Optional[Tuple[
         if leaving is None:
             # phase-1 objective is bounded below by 0; unreachable
             raise AssertionError("unbounded phase-1 simplex")
-        inv = one / tab[leaving][entering]
-        tab[leaving] = [x * inv for x in tab[leaving]]
-        for i in range(m):
-            f = tab[i][entering]
-            if i != leaving and f:
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
-        f = obj[entering]
-        if f:
-            obj = [x - f * y for x, y in zip(obj, tab[leaving])]
+        pivot = tab[leaving]
+        inv = one / pivot[entering]
+        cols = [j for j, x in enumerate(pivot) if x]
+        for j in cols:
+            pivot[j] *= inv
+        for row in (*tab, obj):
+            f = row[entering]
+            if f and row is not pivot:
+                for j in cols:
+                    row[j] -= f * pivot[j]
         basis[leaving] = entering
 
     if obj[width]:  # optimum = -obj[width] > 0

@@ -80,6 +80,13 @@ class TestValidation:
     def test_direct_construction_accepts_ints_and_bools(self):
         cm = CharacteristicMap(2, ((True, False), (0, 1)))
         assert cm.vectors == ((1, 0), (0, 1))
+        assert all(type(x) is int for v in cm.vectors for x in v)
+
+    def test_int_vectors_are_kept_not_copied(self):
+        # the search builds each solution from shared candidate tuples
+        v, w = (1, 0), (0, 1)
+        cm = CharacteristicMap(2, (v, w))
+        assert cm.vectors[0] is v and cm.vectors[1] is w
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

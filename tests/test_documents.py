@@ -18,7 +18,7 @@ from qtoric.documents import (
     serialize_document,
     sqrt2_to_json,
 )
-from qtoric.errors import ParseError, SchemaError
+from qtoric.errors import ParseError, SchemaError, ValidationError
 from qtoric.exactnum import Sqrt2Number
 from qtoric.fixtures import get_fixture
 
@@ -31,6 +31,19 @@ SAMPLE_VALUES = [
     AngleSpec((0, 1, 2, 3, 4, 5, 6)),
     SearchConfig(bound=2, base_vertex=(2, 1, 3, 7), goal="all_positive",
                  solution_cap=5),
+]
+
+# each kind built directly, without `of`, with a True or False where an
+# integer goes; documents refuse booleans there, so the value must keep 0 or 1
+BOOL_VALUES = [
+    SimplicialComplex(4, (frozenset({True, 2, 3}), frozenset({1, 2, 4}),
+                          frozenset({1, 3, 4}), frozenset({2, 3, 4}))),
+    SimplePolytope(3, 2, (frozenset({True, 2}), frozenset({2, 3}), frozenset({True, 3}))),
+    CharacteristicMap(2, ((True, False), (False, True), (-1, -1))),
+    OrientationData(((True, 2), (2, 3), (3, True))),
+    AngleSpec((False, True, 2, 3, 4)),
+    SearchConfig(bound=True, base_vertex=(2, True, 3, 7), goal="all_positive",
+                 order=(True, 2), solution_cap=True, node_budget=True),
 ]
 
 
@@ -55,6 +68,17 @@ class TestRoundTrip:
             twice = serialize_document(parse_document(once).value)
             assert once == twice
             assert once.endswith("\n")
+
+    @pytest.mark.parametrize("value", BOOL_VALUES, ids=lambda v: type(v).__name__)
+    def test_bool_entries_round_trip(self, value):
+        text = serialize_document(value)
+        parsed = parse_document(text).value
+        assert parsed == value
+        assert serialize_document(parsed) == text
+
+    def test_non_bool_reversed_seed_rejected(self):
+        with pytest.raises(ValidationError, match="reversed_seed"):
+            OrientationData(((1, 2), (2, 3), (3, 1)), reversed_seed=1)
 
     def test_big_integers_survive(self):
         big = 10**40

@@ -27,6 +27,7 @@ from qtoric.fixtures import d47_polar, get_fixture
 
 from field_oracle import det_field, matrix_rank, row_reduce
 from field_oracle import strict_feasibility as oracle_strict_feasibility
+from test_fanchk import random_gl
 
 
 def det_cofactor(m):
@@ -482,7 +483,8 @@ class TestStrictFeasibility:
 
 
 def seeded_systems(seed):
-    """Integer systems: 300 of shape n x 2n (n = 2..4) and 250 of m x k."""
+    """Integer systems: 300 of shape n x 2n (n = 2..4), 250 of m x k, and
+    200 of shape 4 x 8 laid out as fan-check lays out a cone pair."""
     rng = random.Random(seed)
     for n in (2, 3, 4):
         for _ in range(100):
@@ -490,6 +492,21 @@ def seeded_systems(seed):
     for _ in range(250):
         m, k = rng.randint(1, 3), rng.randint(1, 5)
         yield [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+    for k in range(200):
+        yield seeded_cone_pair(rng, shared=k % 4)
+
+
+def seeded_cone_pair(rng, shared):
+    """[A | -B] for two nonsingular 4x4 generator matrices with entries in
+    [-3, 3], B taking `shared` of A's generators, as adjacent cones do."""
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        b = rng.sample(a, shared) + [[rng.randint(-3, 3) for _ in range(4)]
+                                     for _ in range(4 - shared)]
+        rng.shuffle(b)
+        if det_int(a) and det_int(b):
+            # the generators are the columns
+            return [[*ra, *(-x for x in rb)] for ra, rb in zip(zip(*a), zip(*b))]
 
 
 def cone_pair_systems():
@@ -505,6 +522,19 @@ def cone_pair_systems():
         cones, _ = cones_from_charmap(structure, cm)
         for a, b in itertools.combinations(cones, 2):
             yield [ra + [-x for x in rb] for ra, rb in zip(a.matrix_rows(), b.matrix_rows())]
+
+
+def moved_cone_pair_systems(seed, transforms=2):
+    """The Barnette and D4(7) cone-pair systems, each also as U [A | -B] for
+    seeded U in GL(4,Z): the rows change, the positive kernel does not."""
+    rng = random.Random(seed)
+    us = [random_gl(rng, 4) for _ in range(transforms)]
+    # Barnette's 171 pairs come first, then D4(7)'s 91
+    for rows in itertools.islice(cone_pair_systems(), 171 + 91):
+        yield rows, [
+            [[sum(x * row[j] for x, row in zip(urow, rows)) for j in range(8)] for urow in u]
+            for u in us
+        ]
 
 
 class TestStrictFeasibilityOracle:
@@ -531,10 +561,24 @@ class TestStrictFeasibilityOracle:
 
     def test_seeded_systems(self):
         feasible, infeasible = self.check(seeded_systems(2024))
-        assert feasible + infeasible == 550
+        assert feasible + infeasible == 750
         assert feasible > 50 and infeasible > 50
 
     def test_cone_pairs(self):
         feasible, infeasible = self.check(cone_pair_systems())
         assert feasible + infeasible == 171 + 91 + 120
         assert feasible > 0 and infeasible > 0
+
+    def test_moved_cone_pairs(self):
+        moved_feasible = 0
+        for rows, moved in moved_cone_pair_systems(1501):
+            expected = strict_feasibility(rows) is not None
+            for system in moved:
+                witness = strict_feasibility(system)
+                assert witness == self.oracle(system)
+                assert (witness is not None) == expected
+                if witness is not None:
+                    moved_feasible += 1
+                    # a positive kernel vector of the unmoved rows as well
+                    assert all(sum(c * w for c, w in zip(row, witness)) == 0 for row in rows)
+        assert moved_feasible > 0
