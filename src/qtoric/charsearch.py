@@ -104,12 +104,10 @@ def normalize_map(
     if abs(d) != 1:
         raise NormalizationError(f"base-vertex minor has det {d}, not +-1")
     # inverse = adj / det = det * adj, since det = +-1
-    new_vectors = []
-    for v in cm.vectors:
-        new_vectors.append(
-            tuple(d * sum(adj[i][k] * v[k] for k in range(n)) for i in range(n))
-        )
-    return CharacteristicMap(n, tuple(new_vectors))
+    vectors = tuple(
+        tuple(d * sum(a * x for a, x in zip(row, v)) for row in adj) for v in cm.vectors
+    )
+    return CharacteristicMap(n, vectors)
 
 
 def candidate_vectors(rank: int, bound: int) -> List[Tuple[int, ...]]:

@@ -2,7 +2,8 @@
 
 Everything here is exact: arbitrary-precision rationals (stdlib Fraction),
 the quadratic field Q(sqrt 2), fraction-free (Bareiss) determinants over
-the integers and over Z[sqrt 2], integer adjugates, GF(2) linear systems
+the integers and over Z[sqrt 2], the integer adjugate from one
+fraction-free Gauss-Jordan elimination, GF(2) linear systems
 with infeasibility certificates, and a positive kernel vector of a rational
 matrix (phase-1 simplex with Bland's rule).  Z[sqrt 2] elements are int pairs;
 clear_denominators brings rational and Q(sqrt 2) data into them and
@@ -199,25 +200,38 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def adjugate(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+def adjugate(m: Sequence[Sequence[int]]) -> Tuple[Optional[List[List[int]]], int]:
     """Integer adjugate and determinant, so that m * adj = det * I.
 
-    adj[j][i] is the (i, j) cofactor, each a det_int of a minor; det is the
-    Laplace expansion of the first row over those cofactors.  Entries are
-    taken as det_int takes them.
+    One fraction-free Gauss-Jordan elimination: step k clears column k from
+    every other row of [m | I], dividing exactly by the previous pivot, which
+    ends in [d I | d m^-1] with d the determinant of the row-swapped m.
+    Entries are taken as det_int takes them.  A singular m returns (None, 0):
+    every caller rejects det 0.
     """
-    a = [[index(x) for x in row] for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(m)
+    a = [[*map(index, row), *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    if any(len(row) != 2 * n for row in a):
         raise DimensionError("adjugate of non-square matrix")
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rest = a[:i] + a[i + 1 :]
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for row in rest]
-            adj[j][i] = (-1) ** (i + j) * det_int(minor)
-    det = sum(a[0][j] * adj[j][0] for j in range(n)) if n else 1
-    return adj, det
+    sign = prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return None, 0
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pivot = a[k]
+        p = pivot[k]
+        # columns up to k are final: the d I on the left is never read
+        rest = range(k + 1, 2 * n)
+        for row in a:
+            if row is not pivot:
+                f = row[k]
+                for j in rest:
+                    row[j] = (row[j] * p - f * pivot[j]) // prev
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
 def as_ints(values: Iterable, what: str) -> Tuple[int, ...]:

@@ -1,20 +1,19 @@
 """Simplicial cones from characteristic vectors and exact fan properness.
 
-Overlap of cone interiors is decided in three exact steps, no epsilons
-anywhere.  A sign test on the facet normals of each cone settles most
-separated pairs.  A barycentre probe then settles many overlapping ones:
-the sum of one cone's generators lies strictly inside it, and when it is
-also strictly inside the other cone it is the witness ray.  Only the pairs
-left reach an exact LP for a positive vector (x, y) in the kernel of
-[A | -B], that is A x = B y with x, y > 0.
+Overlap of cone interiors is decided in two exact steps, no epsilons
+anywhere.  An integer scan of each cone's facet normals against the other
+cone's generators settles most pairs, separated or with the sum of one
+cone's generators as the witness ray.  Only the pairs left reach an exact
+LP for a positive vector (x, y) in the kernel of [A | -B], that is
+A x = B y with x, y > 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charmap import CharacteristicMap, Structure, _check_coverage, cells_of
@@ -24,18 +23,28 @@ from .exactnum import adjugate, as_ints, strict_feasibility
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """A full-dimensional simplicial cone; generators are the columns."""
+    """A full-dimensional simplicial cone; generators are the columns.
+
+    normals is S = sgn(det G) adj(G) for the generator matrix G: row r is
+    the inner normal of the facet opposite generator r, positive on that
+    generator and zero on the rest.  multiplicity is |det G|, so that
+    G^-1 = S / multiplicity.
+    """
 
     generators: Tuple[Tuple[int, ...], ...]
+    normals: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    multiplicity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.generators)
         if any(len(g) != n for g in self.generators):
             raise ValidationError("cone generators must be n vectors in Z^n")
-        if self.adjugate[1] == 0:
-            raise ConeDegeneracyError(
-                f"generators {self.generators} are linearly dependent"
-            )
+        adj, det = adjugate(self.matrix_rows())
+        if det == 0:
+            raise ConeDegeneracyError(f"generators {self.generators} are linearly dependent")
+        sign = 1 if det > 0 else -1
+        object.__setattr__(self, "normals", tuple(tuple(sign * x for x in r) for r in adj))
+        object.__setattr__(self, "multiplicity", abs(det))
 
     @classmethod
     def of(cls, generators: Sequence[Sequence[int]]):
@@ -44,16 +53,6 @@ class SimplicialCone:
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-    @cached_property
-    def adjugate(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-        """(adj, det) of the generator matrix G, so that G^-1 = adj / det.
-
-        Row r of sgn(det) adj is the inner normal of the facet opposite
-        generator r: it is positive on that generator and zero on the rest.
-        """
-        adj, det = adjugate(self.matrix_rows())
-        return tuple(tuple(row) for row in adj), det
 
     def matrix_rows(self) -> List[List[int]]:
         """Rows of the generator matrix (generators as columns)."""
@@ -66,53 +65,38 @@ def cone_membership(
 ) -> Tuple[bool, bool, Tuple[Fraction, ...]]:
     """Exact coefficients of a point in the cone basis.
 
-    Returns (inside, strictly_inside, coefficients) where G x = point.
+    Returns (inside, strictly_inside, coefficients) where G x = point.  The
+    point's entries must be ints (a bool counts as 0 or 1) or Fractions.
     """
     n = c.dim
     if len(point) != n:
         raise ValidationError("point dimension does not match the cone")
-    # G x = point, so x = adj(G) point / det(G); exact for any point
-    adj, det = c.adjugate
-    p = [Fraction(x) for x in point]
-    coeffs = tuple(sum(a * x for a, x in zip(row, p)) / det for row in adj)
+    try:
+        p = [x if isinstance(x, Fraction) else index(x) for x in point]
+    except TypeError as exc:
+        raise ValidationError(f"point must be integers or Fractions: {exc}") from None
+    # G x = point, so x = S point / |det G|; exact for any point
+    coeffs = tuple(
+        Fraction(sum(s * x for s, x in zip(row, p)), c.multiplicity) for row in c.normals
+    )
     inside = all(x >= 0 for x in coeffs)
     interior = all(x > 0 for x in coeffs)
     return inside, interior, coeffs
 
 
-def separated_by_facet(a: SimplicialCone, b: SimplicialCone) -> bool:
-    """Whether a facet hyperplane of b leaves all of a on its closed outer side.
-
-    The interior of b is {p : S p > 0} with S = sgn(det B) adj(B), so the
-    interiors meet iff S A x > 0 for some x > 0; a row of S A with no
-    positive entry rules that out.  Sound, not complete: a pair separated
-    only by a hyperplane through neither cone's facet reads False.
-    """
-    adj, det = b.adjugate
-    sign = 1 if det > 0 else -1
-    return any(
-        all(sign * sum(s * g for s, g in zip(row, gen)) <= 0 for gen in a.generators)
-        for row in adj
-    )
-
-
-def barycentre_witness(
-    a: SimplicialCone, b: SimplicialCone
-) -> Optional[Tuple[Fraction, ...]]:
-    """A ray strictly inside both cones from the sum of one cone's generators.
-
-    A 1 lies strictly inside A, and it is strictly inside B when S A 1 > 0
-    with S = sgn(det B) adj(B), the x = 1 case of separated_by_facet's
-    criterion; then A 1 is a witness.  Otherwise B 1 is tried against A.
-    Sound, not complete: None says nothing about the pair.
-    """
-    for x, y in ((a, b), (b, a)):
-        ray = [sum(coords) for coords in zip(*x.generators)]
-        adj, det = y.adjugate
-        sign = 1 if det > 0 else -1
-        if all(sign * sum(s * r for s, r in zip(row, ray)) > 0 for row in adj):
-            return tuple(Fraction(r) for r in ray)
-    return None
+def _scan(x: SimplicialCone, y: SimplicialCone) -> Optional[bool]:
+    """S_y X row by row, where the interior of y is {p : S_y p > 0}: None at
+    the first row with no positive entry, a facet of y that separates the
+    interiors (sound, not complete), else whether S_y X 1 > 0, that is
+    whether X 1, strictly inside x, is strictly inside y as well."""
+    interior = True
+    for row in y.normals:
+        dots = [sum(s * g for s, g in zip(row, gen)) for gen in x.generators]
+        if max(dots) <= 0:
+            return None
+        if sum(dots) <= 0:
+            interior = False
+    return interior
 
 
 def cones_overlap_interior(
@@ -120,19 +104,21 @@ def cones_overlap_interior(
 ) -> Tuple[bool, Optional[Tuple[Fraction, ...]]]:
     """Whether the two cone interiors share a ray; returns a witness ray.
 
-    Decides existence of x, y > 0 with A x = B y exactly.  A witness ray
-    A x is returned when the interiors overlap (an improper intersection).
-    Pairs that separated_by_facet settles, either way round, skip the LP,
-    and so do pairs whose barycentre_witness is found.
+    Decides existence of x, y > 0 with A x = B y exactly; an overlap (an
+    improper intersection) comes with a witness ray.  The scans of S_B A and
+    S_A B decide a separated pair, or one whose witness is A 1 (tried first)
+    or B 1; the LP decides the rest, with witness A x.
     """
     n = a.dim
     if b.dim != n:
         raise ValidationError("cones live in different dimensions")
-    if separated_by_facet(a, b) or separated_by_facet(b, a):
+    a_in_b = _scan(a, b)
+    b_in_a = None if a_in_b is None else _scan(b, a)
+    if b_in_a is None:
         return False, None
-    ray = barycentre_witness(a, b)
-    if ray is not None:
-        return True, ray
+    if a_in_b or b_in_a:
+        x = a if a_in_b else b
+        return True, tuple(Fraction(sum(coords)) for coords in zip(*x.generators))
     arows = a.matrix_rows()
     # (x, y) > 0 in the kernel of [A | -B]
     witness = strict_feasibility(

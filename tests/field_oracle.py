@@ -13,8 +13,9 @@ subset of strict variables.  They are kept verbatim, apart from the name of
 the rational coercion, as the oracle for exactnum.strict_feasibility.
 
 cones_overlap_interior is fanchk.cones_overlap_interior before the facet
-sign test: one positive-kernel LP on [A | -B] for every cone pair.  It is
-the oracle for the verdicts and witness rays of the sign-test path.
+scan: one positive-kernel LP on [A | -B] for every cone pair.  It is the
+oracle for the verdicts and witness rays of the scan path; ray_oracle.py
+decides the same verdicts without this LP.
 """
 
 from dataclasses import dataclass

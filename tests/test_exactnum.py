@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from qtoric import charmap, charsearch, exactnum, fanchk
 from qtoric.charmap import CharacteristicMap
 from qtoric.errors import DimensionError, ValidationError
 from qtoric.exactnum import (
@@ -158,6 +160,32 @@ def random_int_matrices(seed, count=30):
             yield m
 
 
+def adjugate_by_minors(m):
+    """The adjugate as n^2 minors, the oracle for the one elimination:
+    adj[j][i] is the (i, j) cofactor, each a det_int of a minor, and det is
+    the Laplace expansion of the first row over those cofactors."""
+    a = [list(row) for row in m]
+    n = len(a)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rest = a[:i] + a[i + 1 :]
+        for j in range(n):
+            minor = [row[:j] + row[j + 1 :] for row in rest]
+            adj[j][i] = (-1) ** (i + j) * det_int(minor)
+    det = sum(a[0][j] * adj[j][0] for j in range(n)) if n else 1
+    return adj, det
+
+
+def sparse_int_matrices(seed, count=500):
+    """Random integer matrices of size 1-6, about half their entries zero,
+    so that pivots are often 0 and rows are swapped at any step."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 1 + k % 6
+        yield [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)]
+               for _ in range(n)]
+
+
 class TestAdjugate:
     def test_product_is_det_times_identity(self):
         singular = 0
@@ -165,7 +193,11 @@ class TestAdjugate:
             n = len(m)
             adj, det = adjugate(m)
             assert det == det_cofactor(m)
-            singular += det == 0
+            if det == 0:
+                assert adj is None
+                singular += 1
+                continue
+            assert (adj, det) == adjugate_by_minors(m)
             for i in range(n):
                 for j in range(n):
                     left = sum(m[i][k] * adj[k][j] for k in range(n))
@@ -173,6 +205,18 @@ class TestAdjugate:
                     want = det if i == j else 0
                     assert left == want and right == want
         assert singular >= 50
+
+    def test_matches_minors_with_row_swaps(self):
+        nonsingular = 0
+        for m in sparse_int_matrices(29):
+            adj, det = adjugate(m)
+            want = adjugate_by_minors(m)
+            if want[1]:
+                assert (adj, det) == want, m
+                nonsingular += 1
+            else:
+                assert (adj, det) == (None, 0), m
+        assert 150 < nonsingular < 450
 
     def test_unimodular_inverse_is_integral(self):
         m = [[0, 1], [-1, 1]]
@@ -183,6 +227,26 @@ class TestAdjugate:
         assert adjugate([]) == ([], 1)
         with pytest.raises(DimensionError):
             adjugate([[1, 2]])
+
+    def test_cones_cost_one_elimination_and_no_det_int(self, monkeypatch):
+        # n^2 det_int minors per cone would read 304 det_int calls here
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module in (exactnum, charmap, charsearch, fanchk):
+            for name in ("det_int", "adjugate"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        fx = get_fixture("barnette")
+        cones, _ = cones_from_charmap(fx.complex, fx.charmap)
+        assert len(cones) == 19
+        assert calls == {"adjugate": 19}
 
 
 class TestIntegerEntries:
@@ -227,7 +291,11 @@ class TestSympyCrossCheck:
             ref = sympy.Matrix(m)
             adj, det = adjugate(m)
             assert det_int(m) == det == int(ref.det())
-            assert sympy.Matrix(adj) == ref.adjugate()
+            if det:
+                assert sympy.Matrix(adj) == ref.adjugate()
+                assert (adj, det) == adjugate_by_minors(m)
+            else:
+                assert adj is None
 
 
 class TestRowReduce:

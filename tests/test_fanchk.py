@@ -4,25 +4,27 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from qtoric import fanchk
+from qtoric.charmap import CharacteristicMap
 from qtoric.cli import main
 from qtoric.errors import ConeDegeneracyError, ValidationError
 from qtoric.exactnum import strict_feasibility
 from qtoric.fanchk import (
     SimplicialCone,
-    barycentre_witness,
     cone_membership,
     cones_from_charmap,
     cones_overlap_interior,
     fan_properness,
-    separated_by_facet,
 )
-from qtoric.fixtures import get_fixture
+from qtoric.fixtures import d47_polar, get_fixture
 
 from field_oracle import cones_overlap_interior as lp_overlap_oracle
+from ray_oracle import overlap_by_extreme_rays, strictly_inside
+from test_golden_cyclic import FAN_SEEDS, gl4
 
 
 def overlap_2d_oracle(a, b):
@@ -126,6 +128,14 @@ class TestCone:
         assert inside and not interior
         inside, interior, _ = cone_membership(c, (1, -1))
         assert not inside
+        assert cone_membership(c, (True, Fraction(1, 2)))[2] == (Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("point", [[0.5, 0.25], ["1/2", "1/3"]], ids=repr)
+    def test_membership_rejects_float_and_string(self, point):
+        # Fraction(x) read both as exact rationals and returned a verdict
+        c = SimplicialCone.of([(2, 1), (1, 2)])
+        with pytest.raises(ValidationError, match="integers or Fractions"):
+            cone_membership(c, point)
 
 
 class TestOverlap:
@@ -170,44 +180,71 @@ class TestOverlap:
                     assert cone_membership(c, ray)[1]
 
 
-class TestSignTestAgainstLpOracle:
-    """The facet sign test and the barycentre probe in front of the LP change
-    no verdict: the LP-only overlap test is the oracle.  A pair the probe
-    decides carries A 1 or B 1 as its witness, strictly inside both cones;
-    a pair the LP decides carries the oracle's witness."""
+@pytest.fixture
+def lp_counter(monkeypatch):
+    """Counts the fan check's LP calls; the oracles' LP is not counted."""
+    calls = Counter()
+    lp = fanchk.strict_feasibility
 
-    def test_verdicts_and_witness_rays_match(self):
+    def counted(rows):
+        calls["lp"] += 1
+        return lp(rows)
+
+    monkeypatch.setattr(fanchk, "strict_feasibility", counted)
+    return calls
+
+
+def decided_by(lp_counter, a, b):
+    """cones_overlap_interior(a, b) and the step that decided it: the scan
+    separates ("sign") or finds A 1 or B 1 ("probe"), or the LP runs and
+    finds an overlap ("overlap") or none ("lp")."""
+    before = lp_counter["lp"]
+    result = cones_overlap_interior(a, b)
+    if lp_counter["lp"] == before:
+        return result, "probe" if result[0] else "sign"
+    return result, "overlap" if result[0] else "lp"
+
+
+class TestSignTestAgainstLpOracle:
+    """The facet scan in front of the LP changes no verdict: the LP-only
+    overlap test is the oracle.  A pair the scan decides as overlapping
+    carries A 1 or B 1 as its witness, strictly inside both cones; a pair
+    the LP decides carries the oracle's witness."""
+
+    def test_verdicts_and_witness_rays_match(self, lp_counter):
         # how each pair was decided, per dimension
         decided = {n: Counter() for n in (2, 3, 4)}
         for n, a, b, u in seeded_cone_pairs(2003):
-            sign = separated_by_facet(a, b) or separated_by_facet(b, a)
-            probed = not sign and barycentre_witness(a, b) is not None
+            steps, rays = set(), []
             for x, y in ((a, b), (moved(u, a), moved(u, b))):
-                result = cones_overlap_interior(x, y)
+                result, step = decided_by(lp_counter, x, y)
                 oracle = lp_overlap_oracle(x, y)
                 assert result[0] == oracle[0], (x, y)
-                # both tests read G^-1 A only, which GL(n,Z) leaves alone
-                assert (separated_by_facet(x, y) or separated_by_facet(y, x)) == sign
-                if not probed:
+                if step in ("lp", "overlap"):
                     assert result == oracle, (x, y)
-                    continue
-                # the probe decides the moved pair too, with the moved ray
-                assert barycentre_witness(x, y) == result[1]
-                assert result[1] in (barycentre(x), barycentre(y)), (x, y)
-                assert all(cone_membership(c, result[1])[1] for c in (x, y))
-            overlap, _ = result
-            bucket = "sign" if sign else "probe" if probed else "overlap" if overlap else "lp"
-            decided[n][bucket] += 1
+                elif step == "probe":
+                    assert result[1] in (barycentre(x), barycentre(y)), (x, y)
+                    assert all(cone_membership(c, result[1])[1] for c in (x, y))
+                steps.add(step)
+                rays.append(result[1])
+            # the scan reads G^-1 A only, which GL(n,Z) leaves alone: the same
+            # step decides the moved pair, and a probed ray moves with it
+            assert len(steps) == 1, (a, b)
+            if step == "probe":
+                assert rays[1] == tuple(
+                    sum(c * r for c, r in zip(row, rays[0])) for row in u
+                )
+            decided[n][step] += 1
         for n in (3, 4):
             assert min(decided[n][k] for k in ("sign", "probe", "lp", "overlap")) > 0, decided
         # in the plane a separating line turns onto a generator: never undecided
         assert decided[2]["lp"] == 0 and decided[2]["sign"] > 0
 
-    def test_separated_means_lp_infeasible(self):
+    def test_separated_means_lp_infeasible(self, lp_counter):
         separated = 0
         for _, a, b, _ in seeded_cone_pairs(77, per_dim=100):
             for x, y in ((a, b), (b, a)):
-                if separated_by_facet(x, y):
+                if decided_by(lp_counter, x, y)[1] == "sign":
                     separated += 1
                     rows = [
                         rx + [-v for v in ry]
@@ -218,28 +255,24 @@ class TestSignTestAgainstLpOracle:
 
 
 class TestFanCheckLpTraffic:
-    """Only the pairs the sign test and the barycentre probe leave open
-    reach the LP."""
+    """Only the pairs the facet scan leaves open reach the LP."""
 
     @pytest.mark.parametrize(
         "case, pairs, probed, lp_calls",
         [("barnette", 171, 25, 58), ("d47", 91, 7, 18), ("cross4", 120, 0, 0)],
     )
-    def test_lp_calls(self, monkeypatch, tmp_path, capsys, case, pairs, probed, lp_calls):
-        calls = Counter()
+    def test_lp_calls(self, lp_counter, monkeypatch, tmp_path, capsys, case, pairs,
+                      probed, lp_calls):
+        steps = Counter()
 
-        def counted(name, fn):
-            def wrapper(*args):
-                result = fn(*args)
-                calls[name] += 1
-                if name == "barycentre_witness" and result is not None:
-                    calls["probed"] += 1
-                return result
+        def counted(a, b):
+            result, step = decided_by(lp_counter, a, b)
+            steps[step] += 1
+            if step == "probe":
+                assert result[1] in (barycentre(a), barycentre(b))
+            return result
 
-            return wrapper
-
-        for name in ("strict_feasibility", "cones_overlap_interior", "barycentre_witness"):
-            monkeypatch.setattr(fanchk, name, counted(name, getattr(fanchk, name)))
+        monkeypatch.setattr(fanchk, "cones_overlap_interior", counted)
         argv = ["fan-check", f"fixtures:{case}"]
         if case == "cross4":
             unit = [[int(i == j) for j in range(4)] for i in range(4)]
@@ -249,11 +282,57 @@ class TestFanCheckLpTraffic:
             argv.append(str(path))
         main(argv)
         capsys.readouterr()
-        assert calls["cones_overlap_interior"] == pairs
-        assert calls["probed"] == probed
-        assert calls["strict_feasibility"] == lp_calls
-        # the probe runs on exactly the pairs the sign test leaves open
-        assert calls["barycentre_witness"] == probed + lp_calls
+        assert sum(steps.values()) == pairs
+        assert steps["probe"] == probed
+        assert lp_counter["lp"] == lp_calls
+        # every pair that reaches the LP on these fixtures overlaps
+        assert steps["overlap"] == lp_calls and steps["lp"] == 0
+
+
+def fixture_cones(case):
+    """The cones of the Barnette, D4(7) or cross4 (+-e_i) fan."""
+    if case == "cross4":
+        unit = [[int(i == j) for j in range(4)] for i in range(4)]
+        cm = CharacteristicMap.of(4, unit + [[-x for x in row] for row in unit])
+        return cones_from_charmap(get_fixture("cross4").complex, cm)[0]
+    if case == "d47":
+        return cones_from_charmap(d47_polar().polytope, get_fixture("d47").charmap)[0]
+    fx = get_fixture(case)
+    return cones_from_charmap(fx.complex, fx.charmap)[0]
+
+
+class TestExtremeRayOracle:
+    """Verdicts match the integer extreme-ray oracle, which shares no code
+    with the scan or the LP, and every witness is strictly inside both
+    cones by the oracle's own facet normals."""
+
+    @staticmethod
+    def check(pairs):
+        verdicts = Counter()
+        for a, b in pairs:
+            overlap, ray = cones_overlap_interior(a, b)
+            assert overlap == overlap_by_extreme_rays(a.generators, b.generators)[0], (a, b)
+            if overlap:
+                assert strictly_inside(a.generators, ray)
+                assert strictly_inside(b.generators, ray)
+            verdicts[overlap] += 1
+        return verdicts
+
+    def test_seeded_pairs(self):
+        verdicts = self.check(
+            pair
+            for _, a, b, u in seeded_cone_pairs(2003)
+            for pair in ((a, b), (moved(u, a), moved(u, b)))
+        )
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    @pytest.mark.parametrize("case, overlapping", [("barnette", 83), ("d47", 25), ("cross4", 0)])
+    def test_fixture_pairs_under_gl4(self, case, overlapping):
+        cones = fixture_cones(case)
+        for u in [None] + [gl4(seed) for seed in FAN_SEEDS]:
+            mapped = cones if u is None else [moved(u, c) for c in cones]
+            verdicts = self.check(combinations(mapped, 2))
+            assert verdicts[True] == overlapping
 
 
 class TestFanProperness:
