@@ -26,7 +26,7 @@ from .charmap import (
 from .complexes import OrientationData
 from .cyclic import permutation_parity
 from .errors import NormalizationError, ValidationError
-from .exactnum import adjugate, as_int, as_ints, det_int, is_primitive
+from .exactnum import adjugate, as_int, as_ints, bareiss_det, is_primitive
 
 # goal -> the determinants it accepts at every cell, columns in positive order
 GOALS: Dict[str, Tuple[int, ...]] = {"unimodular": (1, -1), "all_positive": (1,)}
@@ -208,9 +208,10 @@ def search(structure: Structure, orientation: OrientationData,
             result.nodes += 1
             vectors[carrier] = cand
             # the columns in positive order, passed as rows: det M^T = det M;
-            # the first rejected cell prunes the candidate
+            # the first rejected cell prunes the candidate.  The vectors are
+            # int tuples and each cell has n of them, so det_int's check is skipped
             for t in completed:
-                if det_int([vectors[i] for i in t]) not in plan.accepted:
+                if bareiss_det([list(vectors[i]) for i in t]) not in plan.accepted:
                     break
             else:
                 if not dfs(depth + 1):

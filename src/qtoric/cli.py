@@ -16,6 +16,7 @@ they print instead of a verdict.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cache
@@ -70,6 +71,23 @@ _FIELD_OF_KIND = {
 
 class InputError(Exception):
     pass
+
+
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer flag value: ASCII digits with an optional leading minus.
+
+    int() alone also takes underscores, surrounding spaces and non-ASCII
+    digits, so "1_0" would read as 10 and a fullwidth "２" as 2.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits with an optional -, not {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise argparse.ArgumentTypeError(f"integer of {len(text)} characters is too long")
 
 
 def _fixture_parts(fx: Fixture) -> Dict[str, Any]:
@@ -303,8 +321,8 @@ def _search_config(ctx: Context, args) -> SearchConfig:
     if args.base_vertex is None:
         raise InputError("search needs --base-vertex or a search_config document")
     try:
-        base_vertex = tuple(int(x) for x in args.base_vertex.split(","))
-    except ValueError:
+        base_vertex = tuple(_integer(x) for x in args.base_vertex.split(","))
+    except argparse.ArgumentTypeError:
         raise InputError(
             f"--base-vertex takes facet labels like 2,1,3,7, not {args.base_vertex!r}"
         )
@@ -383,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("dualize", _cmd_dualize)
     add("cyclic-gen", _cmd_cyclic_gen)
     p = add("gale", _cmd_gale, needs_inputs=False)
-    p.add_argument("--n", type=int, required=True, help="number of curve points")
-    p.add_argument("--d", type=int, default=4, help="polytope dimension")
+    p.add_argument("--n", type=_integer, required=True, help="number of curve points")
+    p.add_argument("--d", type=_integer, default=4, help="polytope dimension")
     add("polar", _cmd_polar)
     add("orient-tuples", _cmd_orient_tuples)
     add("check-unimodular", _cmd_check_unimodular)
@@ -396,15 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     # these four default to None so that a search_config document can refuse
     # them; the help shows SearchConfig's defaults, which _search_config fills in
     default = {f.name: f.default for f in fields(SearchConfig)}
-    p.add_argument("--bound", type=int, help=f"entry bound B (default {default['bound']})")
+    p.add_argument("--bound", type=_integer, help=f"entry bound B (default {default['bound']})")
     p.add_argument(
         "--goal",
         choices=[g.replace("_", "-") for g in GOALS],
         help=f"default {default['goal'].replace('_', '-')}",
     )
     p.add_argument("--base-vertex", help="ordered facet labels, e.g. 2,1,3,7")
-    p.add_argument("--node-budget", type=int, help=f"default {default['node_budget']}")
-    p.add_argument("--max-printed", type=int, default=20, help="solutions to include in the report")
+    p.add_argument("--node-budget", type=_integer, help=f"default {default['node_budget']}")
+    p.add_argument("--max-printed", type=_integer, default=20, help="solutions to include in the report")
     p = add("fixtures", _cmd_fixtures, needs_inputs=False)
     p.add_argument("name", nargs="?", help="fixture name; omit to list")
     return parser

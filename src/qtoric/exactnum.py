@@ -5,7 +5,9 @@ the quadratic field Q(sqrt 2), fraction-free (Bareiss) determinants over
 the integers and over Z[sqrt 2], the integer adjugate from one
 fraction-free Gauss-Jordan elimination, GF(2) linear systems
 with infeasibility certificates, and a positive kernel vector of a rational
-matrix (phase-1 simplex with Bland's rule).  Z[sqrt 2] elements are int pairs;
+matrix (phase-1 simplex with Bland's rule).  The integer determinant has one
+checked entry, det_int, and one kernel, bareiss_det, which the search also
+calls on the int rows it builds.  Z[sqrt 2] elements are int pairs;
 clear_denominators brings rational and Q(sqrt 2) data into them and
 divide_z2 takes a quotient back out.  No floating point is used anywhere
 in a decision path.
@@ -160,13 +162,12 @@ def coerce_sqrt2(x) -> Sqrt2Number:
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination.
+    """Exact determinant of a square integer matrix.
 
     Entries must be integers (anything with __index__); a float, Fraction
     or string raises TypeError rather than being truncated.  Each row is
-    converted once; each elimination step reads its pivot row and pivot
-    once, swapping in a lower row with a nonzero entry when the pivot is 0,
-    and divides every update exactly by the previous pivot.
+    copied once through operator.index, so m is never modified; a ragged
+    matrix raises DimensionError, and the empty matrix has determinant 1.
     """
     a = [list(map(index, row)) for row in m]
     n = len(a)
@@ -175,6 +176,19 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
             raise DimensionError("determinant of non-square matrix")
     if n == 0:
         return 1
+    return bareiss_det(a)
+
+
+def bareiss_det(a: List[List[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of n >= 1 rows of ints.
+
+    The kernel behind det_int, for callers whose rows are already lists of
+    ints of length n: nothing is checked, and the rows are overwritten.
+    Each elimination step reads its pivot row and pivot once, swapping in a
+    lower row with a nonzero entry when the pivot is 0, and divides every
+    update exactly by the previous pivot.
+    """
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -29,14 +29,14 @@ from search_oracle import brute_force_search
 
 @pytest.fixture
 def det_calls(monkeypatch):
-    """Counts the determinants a search evaluates, at charsearch.det_int."""
+    """Counts the determinants a search evaluates, at charsearch.bareiss_det."""
     calls = [0]
 
-    def counted(m):
+    def counted(a):
         calls[0] += 1
-        return exactnum.det_int(m)
+        return exactnum.bareiss_det(a)
 
-    monkeypatch.setattr(charsearch, "det_int", counted)
+    monkeypatch.setattr(charsearch, "bareiss_det", counted)
     return calls
 
 

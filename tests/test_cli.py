@@ -237,6 +237,9 @@ def test_rank_mismatch_names_both_numbers(capsys, tmp_path, command):
     assert "rank 3 but cell 1234 has 4 carriers" in err
 
 
+SEARCH_WITH_BUDGET = ("search", "fixtures:barnette", "--base-vertex", "1,2,3,4", "--node-budget", "100")
+
+
 class TestSearchCommand:
     def test_triangle(self, capsys):
         code, report, _ = run_json(
@@ -270,6 +273,38 @@ class TestSearchCommand:
             capsys, "search", "fixtures:triangle", "--base-vertex", "1,a"
         )
         assert "--base-vertex" in err
+
+    @pytest.mark.parametrize("label", ["\uff12", "2_0", " 2", "+2", "\u0662"], ids=ascii)
+    def test_base_vertex_label_is_ascii_digits(self, capsys, label):
+        # int() reads a fullwidth or Arabic-Indic 2 as 2 and 2_0 as 20
+        err = assert_input_error(
+            capsys, "search", "fixtures:d47", "--base-vertex", f"{label},1,3,7"
+        )
+        assert "--base-vertex" in err
+
+    @pytest.mark.parametrize("argv", [
+        # a budget keeps a wrongly accepted --bound 1_0 (bound 10) from running long
+        [*SEARCH_WITH_BUDGET, "--bound"],
+        [*SEARCH_WITH_BUDGET, "--node-budget"],
+        [*SEARCH_WITH_BUDGET, "--max-printed"],
+        ["gale", "--d", "4", "--n"],
+        ["gale", "--n", "7", "--d"],
+    ], ids=lambda argv: argv[-1])
+    @pytest.mark.parametrize("value", ["1_0", "\uff11", " 1", "+1", "1.0", "1" * 5000],
+                             ids=["underscore", "fullwidth", "space", "plus", "float", "long"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv, value):
+        code, out, err, _ = run_any(capsys, argv + [value])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert f"argument {argv[-1]}:" in err
+
+    def test_integer_flags_read_leading_zeros_as_decimal(self, capsys):
+        code, report, _ = run_json(
+            capsys, "search", "fixtures:barnette", "--bound", "0010", "--goal", "all-positive",
+            "--base-vertex", "1,2,3,4", "--node-budget", "0012",
+        )
+        assert code == EXIT_OK
+        assert report["details"]["config"]["bound"] == 10
+        assert report["verdict"]["nodes_explored"] == 12
 
     def test_negative_max_printed(self, capsys):
         err = assert_input_error(

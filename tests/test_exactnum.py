@@ -14,6 +14,7 @@ from qtoric.exactnum import (
     Gf2System,
     Sqrt2Number,
     adjugate,
+    bareiss_det,
     clear_denominators,
     coerce_sqrt2,
     det_int,
@@ -146,6 +147,52 @@ class TestDetIntEdges:
     def test_ragged_input_rejected(self, ragged):
         with pytest.raises(DimensionError):
             det_int(ragged)
+
+
+class TestBareissKernel:
+    """bareiss_det, the unchecked kernel behind det_int and the search, on
+    copies of seeded integer rows with n = 1..6: the cofactor oracle and
+    det_int must agree with it, and det_int must leave its input alone."""
+
+    def matrices(self):
+        yield from (m for _, m in TestDetIntEdges().cases(29))
+        yield from sparse_int_matrices(31, count=300)
+        # a zero leading pivot a row swap replaces, and a zero first column
+        yield [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+        yield [[0, 0, 1], [0, 2, 3], [0, 4, 5]]
+
+    def test_matches_det_int_and_cofactor_oracle(self):
+        kinds = set()
+        for m in self.matrices():
+            rows = [list(row) for row in m]
+            got = bareiss_det(rows)
+            snapshot = [list(row) for row in m]
+            assert got == det_int(m) == det_cofactor(m), m
+            assert m == snapshot
+            kinds.add(len(m))
+            kinds.add("singular" if got == 0 else "nonsingular")
+            if m[0][0] == 0 and len(m) > 1:
+                kinds.add("swap")
+        assert kinds >= {1, 2, 3, 4, 5, 6, "singular", "nonsingular", "swap"}
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for m in sparse_int_matrices(37, count=60):
+            assert bareiss_det([list(row) for row in m]) == int(sympy.Matrix(m).det())
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
+    def test_det_int_still_checks_every_entry(self, bad):
+        for i, j in itertools.product(range(3), repeat=2):
+            m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+            m[i][j] = bad
+            with pytest.raises(TypeError):
+                det_int(m)
+
+    def test_vertex_sign_still_checks_shape(self):
+        # ragged det_int input: TestDetIntEdges.test_ragged_input_rejected
+        cm = get_fixture("d47").charmap
+        with pytest.raises(DimensionError):
+            charmap.vertex_sign(cm, (2, 1, 3))
 
 
 def random_int_matrices(seed, count=30):
