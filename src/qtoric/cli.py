@@ -362,8 +362,8 @@ def _cmd_search(ctx: Context, args) -> Result:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and shared by every main call.
 
-    Sharing is safe: parse_args returns a fresh Namespace, the append action
-    copies its default, and nothing mutates the inputs lists it returns.
+    Sharing is safe: parse_args returns a fresh Namespace, and nothing
+    mutates the inputs lists it returns.
     """
     parser = argparse.ArgumentParser(
         prog="qtoric",
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     # subcommands without inputs resolve to an empty Context
-    parser.set_defaults(inputs=[], extra_inputs=[])
+    parser.set_defaults(inputs=[])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, needs_inputs=True):
@@ -383,13 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "inputs",
                 nargs="*",
                 help="document files or fixtures:<name>",
-            )
-            p.add_argument(
-                "--input",
-                dest="extra_inputs",
-                action="append",
-                default=[],
-                help="additional document file",
             )
         p.add_argument("--output", help="write the report to a file")
         p.set_defaults(func=func)
@@ -431,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        ctx = _load_inputs(args.inputs + args.extra_inputs)
+        ctx = _load_inputs(args.inputs)
         result = args.func(ctx, args)
     except (InputError, QtoricError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -261,7 +261,8 @@ def parse_document(text: str) -> Document:
     if not isinstance(obj, dict):
         raise SchemaError("$", "document must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _DECODERS:
+    # a list or an object is unhashable, so test the type before the lookup
+    if not isinstance(kind, str) or kind not in _DECODERS:
         raise SchemaError("kind", f"unknown document kind {kind!r}")
     return Document(kind, _DECODERS[kind](obj))
 

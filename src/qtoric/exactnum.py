@@ -1,24 +1,25 @@
 """Exact scalar and linear-algebra kernel.
 
 Everything here is exact: arbitrary-precision rationals (stdlib Fraction),
-the quadratic field Q(sqrt 2), fraction-free (Bareiss) determinants over
-the integers and over Z[sqrt 2], the integer adjugate from one
-fraction-free Gauss-Jordan elimination, GF(2) linear systems
-with infeasibility certificates, and a positive kernel vector of a rational
-matrix (phase-1 simplex with Bland's rule).  The integer determinant has one
-checked entry, det_int, and one kernel, bareiss_det, which the search also
-calls on the int rows it builds.  Z[sqrt 2] elements are int pairs;
-clear_denominators brings rational and Q(sqrt 2) data into them and
-divide_z2 takes a quotient back out.  No floating point is used anywhere
-in a decision path.
+the quadratic field Q(sqrt 2), one fraction-free (Bareiss) determinant
+kernel, the integer adjugate from one fraction-free Gauss-Jordan
+elimination, GF(2) linear systems with infeasibility certificates, and a
+positive kernel vector of a rational matrix (phase-1 simplex with Bland's
+rule).  The determinant kernel, bareiss_det, has one checked integer entry,
+det_int; the search also calls it on the int rows it builds, and det_z2
+calls it once per subset of the sqrt 2 columns of a Z[sqrt 2] matrix.
+Z[sqrt 2] elements are int pairs; clear_denominators brings rational and
+Q(sqrt 2) data into them and divide_z2 takes a quotient back out.  No
+floating point is used anywhere in a decision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
-from operator import index
+from operator import getitem, index
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, ValidationError
@@ -315,43 +316,27 @@ def sign_z2(v: Z2) -> int:
 
 
 def det_z2(m: Sequence[Sequence[Z2]]) -> Z2:
-    """Exact determinant over Z[sqrt 2] by fraction-free (Bareiss) elimination.
+    """Exact determinant over Z[sqrt 2], expanded over its sqrt 2 columns.
 
-    Each update is divisible by the previous pivot p; it is divided exactly
-    by multiplying with the conjugate of p and dividing both parts by the
-    integer norm p * conj(p), which is nonzero because sqrt 2 is irrational.
+    Column j is P_j + sqrt2 Q_j with P and Q integer, and the determinant is
+    multilinear in the columns, so det = sum over S of sqrt2^|S| det M_S.  S
+    runs over the subsets of the columns with a nonzero Q, and M_S takes Q on
+    S and P elsewhere.  Each det M_S is one bareiss_det call on fresh rows, so
+    r such columns cost 2^r integer determinants; m is not modified.
     """
-    a = [list(row) for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise DimensionError("determinant of non-square matrix")
     if n == 0:
         return (1, 0)
-    sign = 1
-    px, py, norm = 1, 0, 1
-    for k in range(n - 1):
-        if a[k][k] == (0, 0):
-            for i in range(k + 1, n):
-                if a[i][k] != (0, 0):
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return (0, 0)
-        pivot = a[k]
-        kx, ky = pivot[k]
-        for row in a[k + 1 :]:
-            ix, iy = row[k]
-            for j in range(k + 1, n):
-                ax, ay = row[j]
-                bx, by = pivot[j]
-                # a_ij a_kk - a_ik a_kj, then times conj(p) over norm(p)
-                tx = ax * kx + 2 * ay * ky - ix * bx - 2 * iy * by
-                ty = ax * ky + ay * kx - ix * by - iy * bx
-                row[j] = ((tx * px - 2 * ty * py) // norm, (ty * px - tx * py) // norm)
-        px, py, norm = kx, ky, kx * kx - 2 * ky * ky
-    x, y = a[n - 1][n - 1]
-    return (sign * x, sign * y)
+    roots = [j for j in range(n) if any(row[j][1] for row in m)]
+    parts = [0, 0]
+    for r in range(len(roots) + 1):
+        for s in combinations(roots, r):
+            part = [int(j in s) for j in range(n)]  # 1 picks the sqrt 2 part
+            det = bareiss_det([list(map(getitem, row, part)) for row in m])
+            parts[r % 2] += 2 ** (r // 2) * det
+    return parts[0], parts[1]
 
 
 def divide_z2(num: Z2, den: Z2, sqrt2: bool):

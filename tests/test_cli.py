@@ -483,14 +483,12 @@ class TestErrorsAndOutput:
         err = assert_input_error(capsys, "check-unimodular", "fixtures:triangle", str(doc))
         assert "vectors: repeated key" in err
 
-    def test_extra_input_flag(self, capsys, tmp_path):
-        cm = tmp_path / "cm.json"
-        cm.write_text(serialize_document(get_fixture("square").charmap))
-        code, report, _ = run_json(
-            capsys, "check-unimodular", "fixtures:square", "--input", str(cm)
-        )
-        assert code == EXIT_OK
-        assert report["verdict"] == "pass"
+    def test_unhashable_kind_is_an_input_error(self, capsys, tmp_path):
+        doc = tmp_path / "kind.json"
+        for kind in ([], {}):
+            doc.write_text(json.dumps({"kind": kind}))
+            err = assert_input_error(capsys, "check-unimodular", "fixtures:triangle", str(doc))
+            assert err.startswith("error: kind: ")
 
 
 def run_any(capsys, argv, output=None):
@@ -529,9 +527,9 @@ class TestSharedParser:
             ["gale", "--n", "6"],
             ["polar", "fixtures:d47", "--output", output],
             ["orient-tuples", "fixtures:d47"],
-            # with --input the triangle fails; a leaked --input list would
-            # make the plain call fail too
-            ["check-unimodular", "fixtures:triangle", "--input", str(bad)],
+            # with the det-0 charmap the triangle fails; a leaked inputs
+            # list would make the plain call fail too
+            ["check-unimodular", "fixtures:triangle", str(bad)],
             ["check-unimodular", "fixtures:triangle"],
             ["signs", "fixtures:d47"],
             ["almost-complex", "fixtures:pentagon"],
@@ -561,11 +559,9 @@ class TestSharedParser:
         assert build_parser() is parser
 
         assert parser.get_default("inputs") == []
-        assert parser.get_default("extra_inputs") == []
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for command, subparser in sub.choices.items():
             assert not subparser.get_default("inputs"), command
-            assert not subparser.get_default("extra_inputs"), command
 
 
 class TestPolarMemo:

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import pytest
 
+import qtoric.cyclic
+import qtoric.exactnum
 from qtoric.cyclic import (
     CaratheodoryRealization,
     build_polar,
@@ -25,6 +27,7 @@ from qtoric.errors import (
     FieldCoverageError,
     NonVertexError,
     PolarityError,
+    QtoricError,
     RankError,
     RealizationInconsistencyError,
     ValidationError,
@@ -33,6 +36,7 @@ from qtoric.exactnum import SQRT2_ZERO, Sqrt2Number, strict_feasibility
 from qtoric.fixtures import D47_ANGLES, D47_REFERENCE_TUPLES, d47_orientation, d47_polar
 
 from field_oracle import det_field, hyperplane_polar, matrix_rank
+from test_golden_cyclic import angle_subsets
 
 HALF_ROOT = Sqrt2Number.of(0, Fraction(1, 2))
 ONE = Sqrt2Number.of(1)
@@ -433,3 +437,45 @@ class TestOrientationTuples:
         )
         assert comparison.case == "mixed"
         assert sorted(comparison.minority()) == ["1245", "1567"]
+
+
+class TestDeterminantTraffic:
+    """det_z2 expands over the sqrt 2 columns, and the curve has sqrt 2 only
+    in its first two coordinates: no matrix the polar builds costs more than
+    four integer determinants."""
+
+    @pytest.fixture
+    def traffic(self, monkeypatch):
+        """Per det_z2 call from cyclic, the number of bareiss_det calls."""
+        kernel, det_z2 = qtoric.exactnum.bareiss_det, qtoric.cyclic.det_z2
+        per_call = []
+
+        def counted_kernel(a):
+            per_call[-1] += 1
+            return kernel(a)
+
+        def counted(m):
+            per_call.append(0)
+            return det_z2(m)
+
+        monkeypatch.setattr(qtoric.exactnum, "bareiss_det", counted_kernel)
+        monkeypatch.setattr(qtoric.cyclic, "det_z2", counted)
+        return per_call
+
+    def test_every_angle_subset_costs_at_most_four_kernel_calls(self, traffic):
+        # a failed build makes det_z2 calls too, up to the check that fails
+        tried = built = 0
+        for ks in angle_subsets():
+            tried += 1
+            try:
+                build_polar(CaratheodoryRealization.of(ks))
+                built += 1
+            except QtoricError:
+                pass
+        assert (tried, built) == (93, 33)
+        assert traffic and max(traffic) <= 4
+
+    def test_d47_totals(self, traffic):
+        build_polar(CaratheodoryRealization.of(D47_ANGLES))
+        assert (len(traffic), sum(traffic)) == (91, 308)
+        assert max(traffic) <= 4

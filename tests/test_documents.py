@@ -101,8 +101,11 @@ class TestStrictness:
         assert err.value.field == "vectors"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaError):
-            parse_document(json.dumps({"kind": "mystery"}))
+        # a list or an object is unhashable, and must not reach the lookup
+        for kind in ("mystery", [], {}):
+            with pytest.raises(SchemaError) as err:
+                parse_document(json.dumps({"kind": kind}))
+            assert err.value.field == "kind"
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError) as err:

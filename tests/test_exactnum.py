@@ -388,9 +388,13 @@ def random_q_sqrt2_matrices(seed, count=30):
 
 
 def z2_det_of(m):
-    """det m through the kernel: det of the scaled pairs over L^n."""
+    """det m through the kernel: det of the scaled pairs over L^n.  det_z2
+    must leave the pairs as it found them."""
     pairs, scale, sqrt2 = clear_denominators(m)
-    return divide_z2(det_z2(pairs), (scale ** len(m), 0), sqrt2)
+    copy = [list(row) for row in pairs]
+    det = det_z2(pairs)
+    assert pairs == copy
+    return divide_z2(det, (scale ** len(m), 0), sqrt2)
 
 
 class TestZSqrt2Kernel:
@@ -440,7 +444,9 @@ class TestZSqrt2Kernel:
         gen = field.from_sympy(root)
         for m in random_q_sqrt2_matrices(37, count=6):
             pairs, _, _ = clear_denominators(m)
+            copy = [list(row) for row in pairs]
             x, y = det_z2(pairs)
+            assert pairs == copy
             rows = [[field.convert(a) + field.convert(b) * gen for a, b in row] for row in pairs]
             det = DomainMatrix(rows, (len(rows), len(rows)), field).det()
             assert sympy.expand(field.to_sympy(det) - (x + y * root)) == 0
