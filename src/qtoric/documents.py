@@ -127,11 +127,12 @@ def _decode_charmap(obj: Dict[str, Any]) -> CharacteristicMap:
     _require_keys(obj, ["rank", "vectors"])
     rank = _int(obj["rank"], "rank")
     vectors = _int_list_list(obj["vectors"], "vectors")
-    for i, v in enumerate(vectors, start=1):
+    for i, v in enumerate(vectors):
         if len(v) != rank:
             raise SchemaError(
                 f"vectors[{i}]",
-                f"facet {i}: vector has dimension {len(v)}, expected {rank}",
+                f"vector for label {i + 1} (facet {i + 1} or sphere vertex {i + 1}) "
+                f"has dimension {len(v)}, expected {rank}",
             )
     return CharacteristicMap.of(rank, vectors)
 

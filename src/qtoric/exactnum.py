@@ -459,40 +459,48 @@ def strict_feasibility(rows: Sequence[Sequence[Rationalish]]) -> Optional[Tuple[
     so each row's right-hand side is -sum(row), and runs a phase-1 simplex
     with one artificial per row and Bland's rule (lowest eligible index),
     which guarantees termination; ratio-test ties go to the lowest basic
-    variable.  Each pivot collects the pivot row's nonzero columns once and
-    updates the pivot row, the other rows and the objective row in place on
-    those columns only, since a zero in the pivot row changes nothing.
-    Entries must be ints or Fractions; the witness is in Fractions.
+    variable.  Int entries stay ints, right-hand sides and objective row
+    included, until a pivot divides them; only a Fraction or bool entry
+    starts as a Fraction.  The ratio test compares b_i / a_i by
+    cross-multiplying, b_i a_best < b_best a_i, so it divides nothing, and
+    the pivots are those of an all-Fraction tableau.  Each pivot collects
+    the pivot row's nonzero columns once and updates the pivot row, the
+    other rows and the objective row in place on those columns only, since
+    a zero in the pivot row changes nothing.  Entries must be ints or
+    Fractions (a bool counts as 0 or 1); the witness is in Fractions.
     """
-    zero, one = Fraction(0), Fraction(1)
+    one = Fraction(1)
     m = len(rows)
     n = len(rows[0]) if m else 0
     tab = []
     for i, coeffs in enumerate(rows):
         if len(coeffs) != n:
             raise DimensionError("coefficient row has wrong length")
-        row = [_frac(c) for c in coeffs]
-        b = -sum(row, zero)
+        row = [c if type(c) is int else _frac(c) for c in coeffs]
+        b = -sum(row)
         if b < 0:
             row = [-x for x in row]
             b = -b
-        tab.append(row + [one if j == i else zero for j in range(m)] + [b])
+        tab.append(row + [int(j == i) for j in range(m)] + [b])
     basis = [n + i for i in range(m)]
     width = n + m
     # reduced-cost row for minimizing the sum of artificials
-    obj = [-sum((row[j] for row in tab), zero) for j in range(n)]
-    obj += [zero] * m + [-sum((row[width] for row in tab), zero)]
+    obj = [-sum(row[j] for row in tab) for j in range(n)]
+    obj += [0] * m + [-sum(row[width] for row in tab)]
 
     while True:
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
-        # ratio test, ties to the lowest basic variable
-        leaving = min(
-            (i for i in range(m) if tab[i][entering] > 0),
-            key=lambda i: (tab[i][width] / tab[i][entering], basis[i]),
-            default=None,
-        )
+        # ratio test by cross-multiplying (a > 0), ties to the lowest basic variable
+        leaving = None
+        for i, row in enumerate(tab):
+            a = row[entering]
+            if a > 0 and (
+                leaving is None
+                or (row[width] * a_best, basis[i]) < (b_best * a, basis[leaving])
+            ):
+                leaving, a_best, b_best = i, a, row[width]
         if leaving is None:
             # phase-1 objective is bounded below by 0; unreachable
             raise AssertionError("unbounded phase-1 simplex")
@@ -510,7 +518,7 @@ def strict_feasibility(rows: Sequence[Sequence[Rationalish]]) -> Optional[Tuple[
 
     if obj[width]:  # optimum = -obj[width] > 0
         return None
-    s = [zero] * n
+    s = [0] * n
     for i in range(m):
         if basis[i] < n:
             s[basis[i]] = tab[i][width]

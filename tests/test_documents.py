@@ -150,6 +150,20 @@ class TestStrictness:
             parse_document(text)
         assert "facet 3" in str(err.value)
 
+    def test_rank_mismatch_names_the_zero_based_path(self):
+        # the path is 0-based, as for a type error in the same vector, and
+        # the message keeps the 1-based label the vector is attached to
+        def error_for(first):
+            text = json.dumps({"kind": "charmap", "rank": 2, "vectors": [first, [0, 1]]})
+            with pytest.raises(SchemaError) as err:
+                parse_document(text)
+            return err.value
+
+        mismatch = error_for([1, 0, 0])
+        assert mismatch.field == "vectors[0]"
+        assert "label 1 (facet 1 or sphere vertex 1)" in str(mismatch)
+        assert error_for([0.5, 1]).field == "vectors[0][0]"
+
     def test_empty_facet_list_rejected(self):
         text = json.dumps(
             {"kind": "simplicial_complex", "num_vertices": 3, "facets": []}

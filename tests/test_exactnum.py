@@ -703,3 +703,33 @@ class TestStrictFeasibilityOracle:
                     # a positive kernel vector of the unmoved rows as well
                     assert all(sum(c * w for c, w in zip(row, witness)) == 0 for row in rows)
         assert moved_feasible > 0
+
+    def test_fraction_and_bool_entries(self):
+        # setup paths no int system reaches: a tableau in Fractions from the
+        # start, and bools, which the setup takes as 0 and 1
+        runs = 0
+        for rows in seeded_systems(2024):
+            witness = strict_feasibility(rows)
+            variants = [[[Fraction(x, k) for x in row] for row in rows] for k in (2, 3, 4)]
+            variants.append([[bool(x) if x in (0, 1) else x for x in row] for row in rows])
+            for system in variants:
+                assert strict_feasibility(system) == witness == self.oracle(system)
+                runs += 1
+            if witness is not None:
+                assert all(type(w) is Fraction for w in witness)
+            with pytest.raises(TypeError):
+                strict_feasibility([[float(rows[0][0]), *rows[0][1:]], *rows[1:]])
+        assert runs == 4 * 750
+
+    def test_ratio_ties_go_to_the_lowest_basic_variable(self):
+        # ratio ties broken to the highest basic variable give
+        # (3, 1, 3/2, 21/4, 1, 15/4, 1, 1) here instead
+        rows = [
+            [-2, -1, 1, 0, -2, 2, -2, 2],
+            [1, -1, -2, 2, 0, -2, -2, 0],
+            [1, -1, 0, 0, -2, 0, -2, 2],
+            [-2, -2, -2, 1, 2, 1, -1, 1],
+        ]
+        witness = strict_feasibility(rows)
+        assert witness == (4, 2, 1, Fraction(13, 2), 1, Fraction(11, 2), 1, 1)
+        assert witness == self.oracle(rows)
