@@ -13,7 +13,7 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .errors import CoverageError, UnimodularityError, ValidationError
-from .exactnum import Gf2System, as_int, as_ints, det_int, is_primitive
+from .exactnum import Gf2System, as_int, as_ints, bareiss_det, det_int, is_primitive
 
 Structure = Union[SimplePolytope, SimplicialComplex]
 SignPattern = Tuple[int, ...]
@@ -49,6 +49,9 @@ class CharacteristicMap:
         return cls(rank, tuple(vectors))
 
     def vector(self, label: int) -> Tuple[int, ...]:
+        m = len(self.vectors)
+        if not 1 <= label <= m:
+            raise ValidationError(f"label {label} is outside 1..{m}")
         return self.vectors[label - 1]
 
     @property
@@ -90,19 +93,31 @@ def _check_coverage(structure: Structure, cm: CharacteristicMap) -> None:
         )
 
 
-def _cell_det(cm: CharacteristicMap, ordered: Sequence[int]) -> int:
-    # det of the vectors as columns, equal to det of them as rows
-    return det_int([cm.vector(i) for i in ordered])
+def _cell_det(vectors: Tuple[Tuple[int, ...], ...], ordered: Sequence[int]) -> int:
+    """det of the vectors at these labels, which must be n labels in 1..m
+    for vectors of length n; as columns it equals det of them as rows.  The
+    rank-0 map on a 0-dimensional polytope has one empty cell, of det 1."""
+    rows = [list(vectors[i - 1]) for i in ordered]
+    return bareiss_det(rows) if rows else 1
+
+
+def _unimodular(d: int, ordered: Sequence[int]) -> int:
+    if abs(d) != 1:
+        raise UnimodularityError(
+            f"cell {tuple(ordered)} has det {d}, not a unimodular minor"
+        )
+    return d
 
 
 def unimodularity_check(
     structure: Structure, cm: CharacteristicMap
 ) -> Tuple[bool, List[Tuple[str, int]]]:
     """|det| = 1 at every cell; returns (pass, offenders with their det)."""
+    # the coverage check fixes n-sized cells with labels in 1..m
     _check_coverage(structure, cm)
     offenders = []
     for cell in cells_of(structure):
-        d = _cell_det(cm, sorted(cell))
+        d = _cell_det(cm.vectors, sorted(cell))
         if abs(d) != 1:
             offenders.append((cell_label(cell), d))
     return (not offenders, offenders)
@@ -110,12 +125,7 @@ def unimodularity_check(
 
 def vertex_sign(cm: CharacteristicMap, ordered: Sequence[int]) -> int:
     """Sign of one cell: det of the vectors in positively ordered column order."""
-    d = _cell_det(cm, ordered)
-    if abs(d) != 1:
-        raise UnimodularityError(
-            f"cell {tuple(ordered)} has det {d}, not a unimodular minor"
-        )
-    return d
+    return _unimodular(det_int([cm.vector(i) for i in ordered]), ordered)
 
 
 def _check_orientation(structure: Structure, orientation: OrientationData) -> None:
@@ -133,9 +143,11 @@ def sign_pattern(
     structure: Structure, cm: CharacteristicMap, orientation: OrientationData
 ) -> SignPattern:
     """Per-cell signs, in the orientation's cell order."""
+    # the two checks fix n-sized tuples with labels in 1..m
     _check_coverage(structure, cm)
     _check_orientation(structure, orientation)
-    return tuple(vertex_sign(cm, t) for t in orientation.tuples)
+    vectors = cm.vectors
+    return tuple(_unimodular(_cell_det(vectors, t), t) for t in orientation.tuples)
 
 
 def almost_complex_check(

@@ -421,8 +421,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed by the subcommand's own parser
+    when argv[0] names one.
+
+    The full parser hands everything after the command to that parser and
+    copies its values over a Namespace holding the command and an empty
+    inputs list, so this gives the same Namespace without the top-level
+    pass.  No arguments, an unknown command, a leading option and any
+    leftover argument go through the full parser, whose errors carry the
+    top-level usage line.
+    """
+    parser = build_parser()
+    if argv:
+        # the add_subparsers action: its choices map each command to its parser
+        command_parser = parser._subparsers._group_actions[0].choices.get(argv[0])
+        if command_parser is not None:
+            args, rest = command_parser.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0], inputs=[])
+            )
+            if not rest:
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         ctx = _load_inputs(args.inputs)
         result = args.func(ctx, args)

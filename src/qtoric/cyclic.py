@@ -117,7 +117,9 @@ def gale_facets(n: int, d: int = 4) -> List[Tuple[int, ...]]:
     """All d-subsets of {1..n} satisfying Gale's evenness condition.
 
     Y is kept iff for every pair i < j outside Y, the number of elements
-    of Y strictly between i and j is even.  Output is lexicographic.
+    of Y strictly between i and j is even.  That holds iff every maximal run
+    of consecutive labels in Y that contains neither 1 nor n has even
+    length, which one scan of Y checks.  Output is lexicographic.
     """
     if d < 1:
         raise ValidationError(f"need d >= 1 for a cyclic polytope, got d={d}")
@@ -125,14 +127,17 @@ def gale_facets(n: int, d: int = 4) -> List[Tuple[int, ...]]:
         raise ValidationError(f"need n > d for a cyclic polytope, got n={n}, d={d}")
     out = []
     for cand in combinations(range(1, n + 1), d):
-        cset = set(cand)
-        outside = [i for i in range(1, n + 1) if i not in cset]
+        start = prev = cand[0]
         ok = True
-        for a, b in combinations(outside, 2):
-            if sum(1 for y in cand if a < y < b) % 2:
-                ok = False
-                break
-        if ok:
+        for y in cand[1:]:
+            if y != prev + 1:
+                # the run start..prev ends before n; odd is fatal unless it holds 1
+                if start != 1 and (prev - start) % 2 == 0:
+                    ok = False
+                    break
+                start = y
+            prev = y
+        if ok and (start == 1 or prev == n or (prev - start) % 2):
             out.append(cand)
     return out
 

@@ -68,6 +68,10 @@ def _int(obj: Any, field: str) -> int:
 def _int_list(obj: Any, field: str) -> List[int]:
     if not isinstance(obj, list):
         raise SchemaError(field, f"expected a list, got {obj!r}")
+    # a list of ints passes in one scan; the entry paths are built only to
+    # name the entry that fails (type(True) is bool, so bools take that path)
+    if all(type(x) is int for x in obj):
+        return obj
     return [_int(x, f"{field}[{i}]") for i, x in enumerate(obj)]
 
 
@@ -293,21 +297,35 @@ def _encode(obj: Any, indent: str) -> str:
         return encode_basestring_ascii(obj)
     if kind is int:
         return int.__repr__(obj)
+    # the str and int members of a dict or list are written in place, without
+    # a call each; a bool is not one of them, since type(True) is bool
     if kind is dict:
         if not obj:
             return "{}"
         inner = indent + "  "
-        body = (",\n" + inner).join([
-            encode_basestring_ascii(key) + ": " + _encode(value, inner)
-            for key, value in sorted(obj.items())
-        ])
-        return "{\n" + inner + body + "\n" + indent + "}"
+        parts = []
+        for key in sorted(obj):
+            value = obj[key]
+            member_kind = type(value)
+            parts.append(encode_basestring_ascii(key) + ": " + (
+                encode_basestring_ascii(value) if member_kind is str
+                else int.__repr__(value) if member_kind is int
+                else _encode(value, inner)
+            ))
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
         inner = indent + "  "
-        body = (",\n" + inner).join([_encode(item, inner) for item in obj])
-        return "[\n" + inner + body + "\n" + indent + "]"
+        parts = []
+        for item in obj:
+            member_kind = type(item)
+            parts.append(
+                encode_basestring_ascii(item) if member_kind is str
+                else int.__repr__(item) if member_kind is int
+                else _encode(item, inner)
+            )
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
     if obj is None:
         return "null"
     if obj is True:

@@ -18,7 +18,7 @@ from qtoric.charmap import (
     unimodularity_check,
     vertex_sign,
 )
-from qtoric.complexes import coherent_orientation
+from qtoric.complexes import OrientationData, SimplePolytope, coherent_orientation
 from qtoric.errors import (
     CoverageError,
     UnimodularityError,
@@ -145,6 +145,37 @@ class TestVertexSign:
         cm = CharacteristicMap.of(2, [(1, 0), (1, 0)])
         with pytest.raises(UnimodularityError):
             vertex_sign(cm, (1, 2))
+
+    @pytest.mark.parametrize("ordered", [(0, 1), (1, 0), (-1, 2), (4, 1), (2, 5)])
+    def test_label_outside_the_map_raises(self, ordered):
+        # label 0 used to read vector 3 of 3 and give +1; label 4 an IndexError
+        cm = CharacteristicMap.of(2, [(1, 0), (0, 1), (-1, -1)])
+        with pytest.raises(ValidationError, match="outside 1..3"):
+            vertex_sign(cm, ordered)
+
+    def test_vector_takes_labels_one_to_m(self):
+        cm = CharacteristicMap.of(2, [(1, 0), (0, 1), (-1, -1)])
+        assert [cm.vector(i) for i in (1, 2, 3)] == list(cm.vectors)
+        for label in (0, -1, -3, 4):
+            with pytest.raises(ValidationError):
+                cm.vector(label)
+
+    @pytest.mark.parametrize(
+        "name, structure, cm, orientation", cases_with_signs(),
+        ids=[case[0] for case in cases_with_signs()],
+    )
+    def test_sign_pattern_matches_cofactor_oracle(self, name, structure, cm, orientation):
+        expected = tuple(
+            det_cofactor([list(cm.vector(i)) for i in t]) for t in orientation.tuples
+        )
+        assert sign_pattern(structure, cm, orientation) == expected
+        assert expected == tuple(vertex_sign(cm, t) for t in orientation.tuples)
+
+    def test_rank_zero_map_has_one_cell_of_det_one(self):
+        point = SimplePolytope(0, 0, (frozenset(),))
+        cm = CharacteristicMap(0, ())
+        assert unimodularity_check(point, cm) == (True, [])
+        assert sign_pattern(point, cm, OrientationData(((),), False)) == (1,)
 
     def test_sign_pattern_d47(self):
         signs = sign_pattern(

@@ -58,6 +58,13 @@ class TestNormalize:
                 1 if i == k else 0 for i in range(4)
             )
 
+    @pytest.mark.parametrize("base", [(0, 1), (1, 0), (3, -1), (4, 1)])
+    def test_base_label_outside_the_map_rejected(self, base):
+        # label 0 used to read vector 3, normalizing the triangle at (3, 2)
+        cm = CharacteristicMap.of(2, [(1, 0), (0, 1), (-1, -1)])
+        with pytest.raises(ValidationError, match="outside 1..3"):
+            normalize_map(cm, base)
+
     def test_singular_minor_rejected(self):
         cm = CharacteristicMap.of(2, [(1, 0), (1, 0), (0, 1)])
         with pytest.raises(NormalizationError):

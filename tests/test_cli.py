@@ -10,6 +10,7 @@ import pytest
 
 import qtoric
 import qtoric.charmap
+import qtoric.cli as cli
 import qtoric.complexes
 import qtoric.cyclic
 from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
@@ -562,6 +563,68 @@ class TestSharedParser:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for command, subparser in sub.choices.items():
             assert not subparser.get_default("inputs"), command
+
+
+# the argv lists of the console-script step in .github/workflows/tests.yml
+CONSOLE_SCRIPT_ARGVS = [
+    "fixtures", "fvector fixtures:barnette", "polar fixtures:d47", "orient-tuples fixtures:d47",
+    "search fixtures:triangle --bound 1 --goal all-positive --base-vertex 1,2",
+    "search fixtures:d47 --bound 1 --goal unimodular --base-vertex 2,1,3,7 --max-printed 1000",
+    "search fixtures:d47 --bound 1 --goal all-positive --base-vertex 2,1,3,7",
+    "cyclic-gen fixtures:d47",
+    "orient fixtures:barnette", "hvector fixtures:cross4", "dualize fixtures:simplex4",
+    "gale --n 7 --d 4", "fan-check fixtures:barnette", "fan-check fixtures:d47",
+    "fan-check fixtures:pentagon",
+    "signs fixtures:d47", "flip-solve fixtures:barnette",
+    "check-unimodular fixtures:pentagon", "almost-complex fixtures:pentagon",
+    "gale --n 7 --bogus", "nosuchcommand", "--help",
+]
+
+PARSE_ARGVS = [argv.split() for argv in CONSOLE_SCRIPT_ARGVS] + [
+    ["gale", "--n", "x"],
+    ["search", "fixtures:triangle", "--goal", "bogus"],
+    ["signs"],
+    ["-h"],
+    ["fixtures", "-h"],
+    [],
+    ["gale"],
+    ["gale", "--d", "3", "--n", "6", "--output", "o.json"],
+    ["signs", "--", "fixtures:d47", "--output"],
+    ["signs", "fixtures:d47", "--bogus", "x.json"],
+    ["fixtures", "d47", "extra"],
+    ["--output", "x", "signs"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """The Namespace's attributes, or argparse's exit code and output."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return ("exit", exc.code, captured.out, captured.err)
+    assert capsys.readouterr() == ("", "")
+    return ("parsed", vars(args))
+
+
+class TestDispatchedParse:
+    """main parses with the subcommand's own parser; it must reach the
+    full parser's Namespace, and its exit code and bytes on an error."""
+
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=[" ".join(a) or "(none)" for a in PARSE_ARGVS])
+    def test_matches_the_full_parser(self, capsys, argv):
+        full = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert parse_outcome(capsys, cli._parse_args, argv) == full
+
+    def test_cases_cover_both_outcomes(self, capsys):
+        outcomes = [parse_outcome(capsys, cli._parse_args, argv) for argv in PARSE_ARGVS]
+        assert sum(o[0] == "parsed" for o in outcomes) == 22
+        errors = {" ".join(argv): o for argv, o in zip(PARSE_ARGVS, outcomes) if o[0] == "exit"}
+        assert errors["gale --n 7 --bogus"][3].startswith("usage: qtoric [-h]")
+        assert "qtoric: error: unrecognized arguments: --bogus" in errors["gale --n 7 --bogus"][3]
+        assert "qtoric gale: error: argument --n" in errors["gale --n x"][3]
+        assert errors["fixtures -h"][1] == 0
+        assert errors["fixtures -h"][2].startswith("usage: qtoric fixtures [-h]")
 
 
 class TestPolarMemo:

@@ -141,7 +141,27 @@ class TestCurvePoints:
         assert all(type(k) is int for k in r.angles.eighth_turns)
 
 
+def gale_facets_pairwise(n, d):
+    """Gale's evenness condition as stated: a d-subset Y of {1..n} is kept
+    iff every pair i < j outside Y has an even number of elements of Y
+    strictly between them.  The oracle for gale_facets' scan of runs."""
+    out = []
+    for cand in combinations(range(1, n + 1), d):
+        outside = [i for i in range(1, n + 1) if i not in cand]
+        if all(
+            sum(1 for y in cand if a < y < b) % 2 == 0
+            for a, b in combinations(outside, 2)
+        ):
+            out.append(cand)
+    return out
+
+
 class TestGale:
+    def test_matches_pairwise_oracle(self):
+        for n in range(2, 13):
+            for d in range(1, n):
+                assert gale_facets(n, d) == gale_facets_pairwise(n, d), (n, d)
+
     def test_simplex_case(self):
         assert set(map(frozenset, gale_facets(5, 4))) == set(
             map(frozenset, combinations(range(1, 6), 4))

@@ -190,6 +190,17 @@ class TestStrictness:
         with pytest.raises(SchemaError):
             parse_document(text)
 
+    @pytest.mark.parametrize("bad", [True, 1.5, "2", None, [1]])
+    def test_non_integer_entry_is_named_by_its_path(self, bad):
+        text = json.dumps({"kind": "angles", "eighth_turns": [0, 1, bad, 3]})
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert err.value.field == "eighth_turns[2]"
+        text = json.dumps({"kind": "charmap", "rank": 2, "vectors": [[1, 0], [0, bad]]})
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert err.value.field == "vectors[1][1]"
+
 
 class TestNumbers:
     def test_fraction_round_trip(self):
@@ -247,6 +258,46 @@ def random_value(rng, depth=0):
     return random_scalar(rng)
 
 
+def mixed_container(rng, depth=0):
+    """A list, tuple or dict whose members mix str, int, bool, None, empty
+    containers and nested mixed containers."""
+    members = []
+    for _ in range(rng.randint(1, 6)):
+        pick = rng.random()
+        if pick < 0.2:
+            members.append(random_string(rng))
+        elif pick < 0.4:
+            members.append(rng.choice([0, rng.randint(-5, 5), -(2**64), 2**70 + 1]))
+        elif pick < 0.5:
+            members.append(rng.choice([True, False]))
+        elif pick < 0.6:
+            members.append(None)
+        elif pick < 0.75:
+            members.append(rng.choice([[], {}, ()]))
+        else:
+            members.append(mixed_container(rng, depth + 1) if depth < 3 else "leaf")
+    shape = rng.random()
+    if shape < 0.4:
+        return members
+    if shape < 0.5:
+        return tuple(members)
+    return {f"{random_string(rng)}{i}": m for i, m in enumerate(members)}
+
+
+def member_types(obj, seen):
+    """Add (container type, member type) for every member in obj to seen."""
+    if isinstance(obj, dict):
+        members = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        members = obj
+    else:
+        return seen
+    for m in members:
+        seen.add((type(obj), type(m)))
+        member_types(m, seen)
+    return seen
+
+
 class TestCanonicalJson:
     def test_every_golden_report_reencodes_to_its_bytes(self):
         with open(GOLDEN, encoding="utf-8") as fh:
@@ -264,6 +315,20 @@ class TestCanonicalJson:
             obj = random_value(rng)
             assert canonical_json(obj) == json_dumps_oracle(obj), obj
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_json_dumps_on_mixed_members(self, seed):
+        # str and int members are written in place and the rest by a call
+        # each, so every pairing of container and member type is covered
+        rng = random.Random(1000 + seed)
+        seen = set()
+        for _ in range(300):
+            obj = mixed_container(rng)
+            member_types(obj, seen)
+            assert canonical_json(obj) == json_dumps_oracle(obj), obj
+        for container in (list, tuple, dict):
+            for member in (str, int, bool, type(None), list, tuple, dict):
+                assert (container, member) in seen
+
     @pytest.mark.parametrize("value", [
         "", "\u00e9\"\\\n\x00", -(2**64), 2**64, True, False, None, (), [()], {"": {}},
         {"b": [1, [2, []]], "a": ({},), "\u00e9": None, "A": True},
@@ -273,6 +338,9 @@ class TestCanonicalJson:
 
     @pytest.mark.parametrize("value", [
         Fraction(1, 2), [1, Fraction(1, 2)], {"x": Fraction(3)}, 1.5, {1: 2},
+        [1, 1.5], ["a", 0.5, None], {"x": 1.5}, {"a": "s", "b": 2, "c": 0.25},
+        ["a", 2, Fraction(1, 3)], {"a": 1, "b": Fraction(-2, 5)}, [[1, "x", 1.5]],
+        {"a": {"b": [True, Fraction(1, 2)]}},
     ])
     def test_other_values_raise_type_error(self, value):
         with pytest.raises(TypeError):
