@@ -9,13 +9,12 @@ vector carriers, together with a positively ordered tuple per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
-from .complexes import OrientationData, SimplePolytope, SimplicialComplex
-from .errors import CoverageError, UnimodularityError, ValidationError
+from .complexes import CellTable, OrientationData
+from .errors import CoverageError, IncoherentOrientationError, UnimodularityError, ValidationError
 from .exactnum import Gf2System, as_int, as_ints, bareiss_det, det_int, is_primitive
 
-Structure = Union[SimplePolytope, SimplicialComplex]
 SignPattern = Tuple[int, ...]
 FlipVector = Tuple[int, ...]
 
@@ -59,33 +58,18 @@ class CharacteristicMap:
         return len(self.vectors)
 
 
-def cells_of(structure: Structure) -> Tuple[FrozenSet[int], ...]:
-    """Sign-carrying cells: polytope vertices, or sphere maximal simplices."""
-    if isinstance(structure, SimplePolytope):
-        return structure.vertices
-    if isinstance(structure, SimplicialComplex):
-        return structure.facets
-    raise TypeError(f"unsupported structure {type(structure).__name__}")
-
-
-def num_carriers_of(structure: Structure) -> int:
-    if isinstance(structure, SimplePolytope):
-        return structure.num_facets
-    return structure.num_vertices
-
-
 def cell_label(cell: Iterable[int]) -> str:
     return "".join(str(i) for i in sorted(cell))
 
 
-def _check_coverage(structure: Structure, cm: CharacteristicMap) -> None:
-    m = num_carriers_of(structure)
+def _check_coverage(structure: CellTable, cm: CharacteristicMap) -> None:
+    m = structure.num_carriers
     if cm.num_carriers != m:
         raise CoverageError(
             f"map assigns {cm.num_carriers} vectors but the structure has {m} carriers"
         )
     # every cell has one size: complexes are pure and polytopes simple
-    cells = cells_of(structure)
+    cells = structure.cells
     if cells and len(cells[0]) != cm.rank:
         raise CoverageError(
             f"map has rank {cm.rank} but cell {cell_label(cells[0])} "
@@ -110,13 +94,13 @@ def _unimodular(d: int, ordered: Sequence[int]) -> int:
 
 
 def unimodularity_check(
-    structure: Structure, cm: CharacteristicMap
+    structure: CellTable, cm: CharacteristicMap
 ) -> Tuple[bool, List[Tuple[str, int]]]:
     """|det| = 1 at every cell; returns (pass, offenders with their det)."""
     # the coverage check fixes n-sized cells with labels in 1..m
     _check_coverage(structure, cm)
     offenders = []
-    for cell in cells_of(structure):
+    for cell in structure.cells:
         d = _cell_det(cm.vectors, sorted(cell))
         if abs(d) != 1:
             offenders.append((cell_label(cell), d))
@@ -128,8 +112,10 @@ def vertex_sign(cm: CharacteristicMap, ordered: Sequence[int]) -> int:
     return _unimodular(det_int([cm.vector(i) for i in ordered]), ordered)
 
 
-def _check_orientation(structure: Structure, orientation: OrientationData) -> None:
-    cells = cells_of(structure)
+def _check_orientation(structure: CellTable, orientation: OrientationData) -> None:
+    """The tuples must order the cells, in cell order, and cohere: the two
+    cells on a ridge induce opposite orientations on it."""
+    cells = structure.cells
     if len(orientation.tuples) != len(cells):
         raise ValidationError("orientation data does not match the cell list")
     for t, cell in zip(orientation.tuples, cells):
@@ -137,10 +123,12 @@ def _check_orientation(structure: Structure, orientation: OrientationData) -> No
             raise ValidationError(
                 f"orientation tuple {t} is not a permutation of cell {sorted(cell)}"
             )
+    if orientation.ridge_conflict is not None:
+        raise IncoherentOrientationError(*orientation.ridge_conflict)
 
 
 def sign_pattern(
-    structure: Structure, cm: CharacteristicMap, orientation: OrientationData
+    structure: CellTable, cm: CharacteristicMap, orientation: OrientationData
 ) -> SignPattern:
     """Per-cell signs, in the orientation's cell order."""
     # the two checks fix n-sized tuples with labels in 1..m
@@ -151,7 +139,7 @@ def sign_pattern(
 
 
 def almost_complex_check(
-    structure: Structure, cm: CharacteristicMap, orientation: OrientationData
+    structure: CellTable, cm: CharacteristicMap, orientation: OrientationData
 ) -> Tuple[bool, List[str]]:
     """True iff every sign is +1; offenders are reported by label."""
     signs = sign_pattern(structure, cm, orientation)
@@ -164,7 +152,7 @@ def almost_complex_check(
 
 
 def flip_system(
-    structure: Structure, cm: CharacteristicMap, orientation: OrientationData
+    structure: CellTable, cm: CharacteristicMap, orientation: OrientationData
 ) -> Gf2System:
     """GF(2) system whose solutions are the sign flips making all signs +1.
 
@@ -177,7 +165,7 @@ def flip_system(
         (frozenset(t), 1 if s == -1 else 0)
         for t, s in zip(orientation.tuples, signs)
     ]
-    return Gf2System.of(num_carriers_of(structure), equations)
+    return Gf2System.of(structure.num_carriers, equations)
 
 
 def apply_flip(cm: CharacteristicMap, flip: Sequence[int]) -> CharacteristicMap:

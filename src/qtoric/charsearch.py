@@ -16,15 +16,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charmap import (
-    CharacteristicMap,
-    Structure,
-    _check_orientation,
-    cells_of,
-    num_carriers_of,
-)
-from .complexes import OrientationData
-from .cyclic import permutation_parity
+from .charmap import CharacteristicMap, _check_orientation
+from .complexes import CellTable, OrientationData, permutation_parity
 from .errors import NormalizationError, ValidationError
 from .exactnum import adjugate, as_int, as_ints, bareiss_det, is_primitive
 
@@ -120,30 +113,25 @@ def candidate_vectors(rank: int, bound: int) -> List[Tuple[int, ...]]:
 
 
 def assignment_order(
-    structure: Structure, preassigned: Sequence[int]
+    structure: CellTable, preassigned: Sequence[int]
 ) -> List[int]:
     """Greedy carrier order: repeatedly pick the unassigned carrier sharing
     the most cells with already-assigned carriers; ties by lowest index."""
-    cells = cells_of(structure)
+    cells = structure.cells
     assigned = set(preassigned)
-    remaining = [
-        i for i in range(1, num_carriers_of(structure) + 1) if i not in assigned
-    ]
+    remaining = [i for i in range(1, structure.num_carriers + 1) if i not in assigned]
     order = []
     while remaining:
-        best = None
-        best_score = -1
-        for c in remaining:
-            score = sum(1 for cell in cells if c in cell and cell & assigned)
-            if score > best_score:
-                best, best_score = c, score
+        # max keeps the first of equal scores, and remaining is ascending
+        best = max(remaining, key=lambda c: sum(
+            1 for cell in cells if c in cell and cell & assigned))
         order.append(best)
         assigned.add(best)
         remaining.remove(best)
     return order
 
 
-def plan_search(structure: Structure, orientation: OrientationData,
+def plan_search(structure: CellTable, orientation: OrientationData,
                 config: SearchConfig) -> SearchPlan:
     """Validate the search inputs and fix the plan the loop walks.
 
@@ -153,7 +141,7 @@ def plan_search(structure: Structure, orientation: OrientationData,
     reversed first (the same search up to an ambient reflection).
     """
     _check_orientation(structure, orientation)
-    cells = cells_of(structure)
+    cells = structure.cells
     base = frozenset(config.base_vertex)
     if len(base) != len(config.base_vertex) or base not in cells:
         raise ValidationError(
@@ -165,7 +153,7 @@ def plan_search(structure: Structure, orientation: OrientationData,
 
     order = tuple(assignment_order(structure, config.base_vertex)
                   if config.order is None else config.order)
-    free = set(range(1, num_carriers_of(structure) + 1)) - base
+    free = set(range(1, structure.num_carriers + 1)) - base
     if sorted(order) != sorted(free):
         raise ValidationError("assignment order must cover the free carriers")
 
@@ -179,14 +167,14 @@ def plan_search(structure: Structure, orientation: OrientationData,
     return SearchPlan(order, tuple(completed), GOALS[config.goal])
 
 
-def search(structure: Structure, orientation: OrientationData,
+def search(structure: CellTable, orientation: OrientationData,
            config: SearchConfig) -> SearchResult:
     """Exhaustive bounded search for characteristic maps (see plan_search)."""
     plan = plan_search(structure, orientation, config)
     n = len(config.base_vertex)
     # vectors[i] is carrier i's vector; a backtracked carrier keeps a stale
     # one, which no cell completed at a shallower depth reads
-    vectors: List[Optional[Tuple[int, ...]]] = [None] * (num_carriers_of(structure) + 1)
+    vectors: List[Optional[Tuple[int, ...]]] = [None] * (structure.num_carriers + 1)
     for k, carrier in enumerate(config.base_vertex):
         vectors[carrier] = tuple(1 if i == k else 0 for i in range(n))
     candidates = candidate_vectors(n, config.bound)

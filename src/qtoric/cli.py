@@ -154,12 +154,10 @@ def _structure(ctx: Context):
 def _orientation(ctx: Context) -> OrientationData:
     structure = _structure(ctx)
     if ctx.orientation is None:
-        if isinstance(structure, SimplicialComplex):
-            ctx.orientation = complexes.coherent_orientation(structure)
-        else:
-            raise InputError(
-                "an orientation document is required for this polytope"
-            )
+        # _structure gives the polytope whenever there is one
+        if ctx.polytope is not None:
+            raise InputError("an orientation document is required for this polytope")
+        ctx.orientation = complexes.coherent_orientation(structure)
     return ctx.orientation
 
 
@@ -291,7 +289,7 @@ def _cmd_fan_check(ctx: Context, args) -> Result:
     cm = _need(ctx.charmap, "a charmap document")
     cones, adjacency = fanchk.cones_from_charmap(structure, cm)
     ok, offenders = fanchk.fan_properness(cones, adjacency)
-    cells = cm_mod.cells_of(structure)
+    cells = structure.cells
     detail = []
     for off in offenders:
         i, j = off["pair"]

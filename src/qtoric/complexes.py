@@ -3,11 +3,14 @@
 Indices are 1-based everywhere (vertices 1..num_vertices, facets
 1..num_facets) so that printed reports line up with the usual labels.
 
-A complex computes its ridge map, pseudomanifold offenders, coherent
-orientation and f-vector on first use and keeps them (immutable values), so
-a complex that is used again, like a process-cached fixture, computes each
-at most once.  A failure is not kept: asking again recomputes and raises
-again.
+Both structures are a `CellTable`: the cells that carry a sign (a
+polytope's vertices as facet sets, a complex's facets as vertex sets) over
+the carriers 1..num_carriers, checked by one validation pass.  A structure
+computes its ridge map, and a complex its pseudomanifold offenders,
+coherent orientation and f-vector, on first use and keeps them (immutable
+values), so a structure that is used again, like a process-cached fixture,
+computes each at most once.  A failure is not kept: asking again recomputes
+and raises again.
 """
 
 from __future__ import annotations
@@ -17,58 +20,81 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonOrientableError, ValidationError
 from .exactnum import as_int, as_ints
 
 FVector = Tuple[int, ...]
+Cells = Tuple[FrozenSet[int], ...]
+
+
+class CellTable:
+    """What the sign, flip, fan and search engines read of a structure:
+    `cells`, `num_carriers` and the ridge map."""
+
+    cells: Cells
+    num_carriers: int
+
+    @cached_property
+    def ridges(self) -> Mapping[FrozenSet[int], Tuple[int, ...]]:
+        """Each ridge and the (0-based) indices of the cells containing it."""
+        return _ridge_map(self.cells)
+
+
+def _checked_cells(raw: Iterable[Iterable[int]], num_carriers: int, size: Optional[int],
+                   cell: str, carrier: str, carriers: str) -> Cells:
+    """The one validation pass of both structures: each cell is `size`
+    distinct int labels (size None: as many as the first cell), no cell
+    repeats, and the cells use each carrier in 1..num_carriers and no other."""
+    cells: Dict[FrozenSet[int], None] = {}  # ordered, and a set for the duplicate test
+    for labels in raw:
+        labels = as_ints(labels, f"{cell} {carrier} labels")
+        c = frozenset(labels)
+        if len(c) != len(labels):
+            raise ValidationError(f"{cell} {list(labels)} repeats a label")
+        size = len(c) if size is None else size
+        if len(c) != size:
+            raise ValidationError(f"{cell} {sorted(c)} has {len(c)} {carriers}, expected {size}")
+        if c in cells:
+            raise ValidationError(f"duplicate {cell} {sorted(c)}")
+        cells[c] = None
+    used = set().union(*cells)
+    expected = set(range(1, num_carriers + 1))
+    if used != expected:
+        stray = sorted(used - expected)
+        if stray:
+            raise ValidationError(f"{carrier} {stray[0]} out of range")
+        raise ValidationError(f"{carriers} {sorted(expected - used)} appear in no {cell}")
+    return tuple(cells)
 
 
 @dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(CellTable):
     """A pure simplicial complex given by its facet list."""
 
     num_vertices: int
-    facets: Tuple[FrozenSet[int], ...]
+    facets: Cells
 
     def __post_init__(self):
         # the one place labels become ints, so a bool is kept as 0 or 1
         object.__setattr__(self, "num_vertices", as_int(self.num_vertices, "num_vertices"))
-        object.__setattr__(self, "facets", tuple(
-            frozenset(as_ints(f, "facet vertex labels")) for f in self.facets
-        ))
         if self.num_vertices < 1:
             raise ValidationError("complex needs at least one vertex")
-        if not self.facets:
-            raise ValidationError("facet list is empty")
-        size = len(next(iter(self.facets)))
-        seen = set()
-        for f in self.facets:
-            if len(f) != size:
-                raise ValidationError(
-                    f"non-pure complex: facet {sorted(f)} has size {len(f)}, "
-                    f"expected {size}"
-                )
-            if f in seen:
-                raise ValidationError(f"duplicate facet {sorted(f)}")
-            seen.add(f)
-            for v in f:
-                if not 1 <= v <= self.num_vertices:
-                    raise ValidationError(f"vertex {v} out of range")
+        object.__setattr__(self, "facets", _checked_cells(
+            self.facets, self.num_vertices, None, "facet", "vertex", "vertices"
+        ))
 
     @classmethod
     def of(cls, num_vertices: int, facets: Iterable[Iterable[int]]):
         return cls(num_vertices, tuple(facets))
 
+    cells = property(lambda self: self.facets)
+    num_carriers = property(lambda self: self.num_vertices)
+
     @property
     def dimension(self) -> int:
         return len(self.facets[0]) - 1
-
-    @cached_property
-    def ridges(self) -> Mapping[FrozenSet[int], Tuple[int, ...]]:
-        """Each ridge and the (0-based) indices of the facets containing it."""
-        return _ridge_map(self.facets)
 
     @cached_property
     def offending_ridges(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
@@ -81,23 +107,19 @@ class SimplicialComplex:
     @cached_property
     def f_vector(self) -> FVector:
         """Face counts per dimension, by enumerating subsets of the facets."""
-        d = self.dimension
-        faces = [set() for _ in range(d + 1)]
-        for f in self.facets:
-            verts = sorted(f)
-            for size in range(1, d + 2):
-                for sub in combinations(verts, size):
-                    faces[size - 1].add(sub)
-        return tuple(len(s) for s in faces)
+        return tuple(
+            len({sub for f in self.facets for sub in combinations(sorted(f), size)})
+            for size in range(1, self.dimension + 2)
+        )
 
     @cached_property
     def coherent_orientation(self) -> OrientationData:
         """Propagate a coherent orientation across shared ridges by BFS.
 
         Facet 0 is seeded with its sorted vertex tuple; each facet receives
-        its sorted tuple either as-is or with the first two entries swapped.
-        Raises NonOrientableError with a conflicting facet pair as
-        certificate.
+        its sorted tuple as-is or with the first two entries swapped (a
+        single vertex has one order and keeps it).  Raises
+        NonOrientableError with a conflicting facet pair as certificate.
         """
         if self.offending_ridges:
             raise ValidationError(
@@ -109,15 +131,13 @@ class SimplicialComplex:
         queue = [0]
         while queue:
             cur = queue.pop(0)
-            fcur = sorted_facets[cur]
-            for pos, v in enumerate(fcur):
+            for v in sorted_facets[cur]:
                 ridge = self.facets[cur] - {v}
                 owners = ridges[ridge]
                 other = owners[0] if owners[1] == cur else owners[1]
-                fother = sorted_facets[other]
-                opos = fother.index(tuple(sorted(self.facets[other] - ridge))[0])
-                # coherence: induced ridge orientations must be opposite
-                needed = -sign[cur] * (-1) ** pos * (-1) ** opos
+                # coherence: the two sides induce opposite ridge orientations
+                needed = -(_induced(self.facets[cur], sign[cur], ridge)
+                           * _induced(self.facets[other], 1, ridge))
                 if other in sign:
                     if sign[other] != needed:
                         raise NonOrientableError(cur + 1, other + 1, ridge)
@@ -126,52 +146,34 @@ class SimplicialComplex:
                     queue.append(other)
         if len(sign) != len(self.facets):
             raise ValidationError("complex is not connected")
-        tuples = []
-        for idx, f in enumerate(sorted_facets):
-            if sign[idx] > 0:
-                tuples.append(f)
-            else:
-                tuples.append((f[1], f[0]) + f[2:])
-        return OrientationData(tuple(tuples))
+        return OrientationData(tuple(
+            f if sign[idx] > 0 or len(f) < 2 else (f[1], f[0]) + f[2:]
+            for idx, f in enumerate(sorted_facets)
+        ))
 
 
 @dataclass(frozen=True)
-class SimplePolytope:
+class SimplePolytope(CellTable):
     """Combinatorics of a simple polytope: vertices as facet-index sets."""
 
     num_facets: int
     dimension: int
-    vertices: Tuple[FrozenSet[int], ...]
+    vertices: Cells
 
     def __post_init__(self):
         # the one place labels become ints, so a bool is kept as 0 or 1
         object.__setattr__(self, "num_facets", as_int(self.num_facets, "num_facets"))
         object.__setattr__(self, "dimension", as_int(self.dimension, "dimension"))
-        object.__setattr__(self, "vertices", tuple(
-            frozenset(as_ints(v, "vertex facet labels")) for v in self.vertices
+        object.__setattr__(self, "vertices", _checked_cells(
+            self.vertices, self.num_facets, self.dimension, "vertex", "facet", "facets"
         ))
-        seen = set()
-        used = set()
-        for v in self.vertices:
-            if len(v) != self.dimension:
-                raise ValidationError(
-                    f"vertex {sorted(v)} lies in {len(v)} facets, "
-                    f"expected {self.dimension} (simplicity)"
-                )
-            if v in seen:
-                raise ValidationError(f"duplicate vertex {sorted(v)}")
-            seen.add(v)
-            for f in v:
-                if not 1 <= f <= self.num_facets:
-                    raise ValidationError(f"facet index {f} out of range")
-                used.add(f)
-        if used != set(range(1, self.num_facets + 1)):
-            missing = sorted(set(range(1, self.num_facets + 1)) - used)
-            raise ValidationError(f"facets {missing} appear in no vertex")
 
     @classmethod
     def of(cls, num_facets: int, dimension: int, vertices: Iterable[Iterable[int]]):
         return cls(num_facets, dimension, tuple(vertices))
+
+    cells = property(lambda self: self.vertices)
+    num_carriers = property(lambda self: self.num_facets)
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,43 @@ class OrientationData:
         flipped = tuple((t[1], t[0]) + t[2:] for t in self.tuples)
         return OrientationData(flipped, not self.reversed_seed)
 
+    @cached_property
+    def ridge_conflict(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], FrozenSet[int]]]:
+        """Two tuples that induce the same orientation on their shared ridge,
+        and that ridge, or None when coherent; computed once per object.  A
+        one-label tuple has one order only, so the empty ridge is skipped."""
+        cells = [frozenset(t) for t in self.tuples]
+        parities = [_parity(t) for t in self.tuples]
+        for ridge, owners in _ridge_map(cells).items():
+            for a, b in combinations(owners, 2):
+                if ridge and (_induced(cells[a], parities[a], ridge)
+                              == _induced(cells[b], parities[b], ridge)):
+                    return self.tuples[a], self.tuples[b], ridge
+        return None
+
+
+def _parity(t: Sequence[int]) -> int:
+    """The sign of the permutation that sorts t: -1 for an odd number of
+    inversions."""
+    return -1 if sum(a > b for a, b in combinations(t, 2)) % 2 else 1
+
+
+def permutation_parity(src: Sequence[int], dst: Sequence[int]) -> int:
+    """+1 if dst is an even permutation of src, -1 if odd."""
+    if sorted(src) != sorted(dst):
+        raise ValidationError(f"{dst} is not a permutation of {src}")
+    return _parity(src) * _parity(dst)
+
+
+def _induced(cell: FrozenSet[int], parity: int, ridge: FrozenSet[int]) -> int:
+    """The orientation that a cell, ordered as a tuple t of this parity
+    against its sorted tuple, induces on one of its ridges against the
+    ridge's sorted tuple: sgn(t -> sorted t) * (-1)**(rank of v in the
+    cell), v the carrier opposite the ridge.  The two cells on a ridge of a
+    coherent orientation induce opposite orientations."""
+    (v,) = cell - ridge
+    return -parity if sum(x < v for x in cell) % 2 else parity
+
 
 def f_vector(k: SimplicialComplex) -> FVector:
     """Face counts per dimension, computed once per complex."""
@@ -219,10 +258,10 @@ def euler_characteristic(f: Sequence[int]) -> int:
 
 
 def _ridge_map(
-    facets: Sequence[FrozenSet[int]],
+    cells: Sequence[FrozenSet[int]],
 ) -> Mapping[FrozenSet[int], Tuple[int, ...]]:
     out: Dict[FrozenSet[int], List[int]] = {}
-    for idx, f in enumerate(facets):
+    for idx, f in enumerate(cells):
         for v in f:
             out.setdefault(f - {v}, []).append(idx)
     return MappingProxyType({ridge: tuple(owners) for ridge, owners in out.items()})

@@ -18,7 +18,9 @@ from functools import cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import OrientationData, SimplePolytope, SimplicialComplex, dualize
+from .complexes import (
+    OrientationData, SimplePolytope, SimplicialComplex, dualize, permutation_parity
+)
 from .errors import (
     DegeneracyError,
     FieldCoverageError,
@@ -305,27 +307,6 @@ def polar_of_angles(eighth_turns: Tuple[int, ...]) -> PolarPolytope:
     it safely.
     """
     return build_polar(CaratheodoryRealization.of(eighth_turns))
-
-
-def permutation_parity(src: Sequence[int], dst: Sequence[int]) -> int:
-    """+1 if dst is an even permutation of src, -1 if odd."""
-    if sorted(src) != sorted(dst):
-        raise ValidationError(f"{dst} is not a permutation of {src}")
-    perm = [list(dst).index(x) for x in src]
-    parity = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
 
 
 @dataclass(frozen=True)

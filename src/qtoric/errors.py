@@ -30,6 +30,16 @@ class NonOrientableError(QtoricError):
         )
 
 
+class IncoherentOrientationError(ValidationError):
+    """Two orientation tuples induce the same orientation on their shared
+    ridge; the two tuples and the ridge are the certificate."""
+
+    def __init__(self, cell_a: tuple, cell_b: tuple, ridge: frozenset):
+        self.cell_a, self.cell_b, self.ridge = cell_a, cell_b, ridge
+        super().__init__(f"incoherent orientation: cells {cell_a} and {cell_b} "
+                         f"induce the same orientation on ridge {sorted(ridge)}")
+
+
 class DegeneracyError(QtoricError):
     """Points are affinely dependent where independence is required."""
 

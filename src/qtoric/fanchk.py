@@ -16,7 +16,8 @@ from itertools import combinations
 from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charmap import CharacteristicMap, Structure, _check_coverage, cells_of
+from .charmap import CharacteristicMap, _check_coverage
+from .complexes import CellTable
 from .errors import ConeDegeneracyError, ValidationError
 from .exactnum import adjugate, as_ints, strict_feasibility
 
@@ -164,19 +165,14 @@ def fan_properness(
 
 
 def cones_from_charmap(
-    structure: Structure, cm: CharacteristicMap
+    structure: CellTable, cm: CharacteristicMap
 ) -> Tuple[List[SimplicialCone], List[Tuple[int, int]]]:
-    """One cone per cell (generators = its vectors) plus ridge adjacency."""
+    """One cone per cell (generators = its vectors), and the sorted 1-based
+    pairs of cells that share a ridge."""
     _check_coverage(structure, cm)
-    cells = cells_of(structure)
-    cones = [
-        SimplicialCone.of([cm.vector(i) for i in sorted(cell)]) for cell in cells
-    ]
-    n = cones[0].dim
-    adjacency = [
-        (i, j)
-        for i, j in combinations(range(1, len(cells) + 1), 2)
-        if len(cells[i - 1] & cells[j - 1]) == n - 1
-    ]
+    cones = [SimplicialCone.of([cm.vector(i) for i in sorted(cell)]) for cell in structure.cells]
+    adjacency = sorted(
+        (a + 1, b + 1)
+        for owners in structure.ridges.values() for a, b in combinations(owners, 2)
+    )
     return cones, adjacency
-

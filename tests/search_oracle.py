@@ -9,7 +9,6 @@ small fixtures only (triangle, square).
 
 from itertools import product
 
-from qtoric.charmap import cells_of, num_carriers_of
 from qtoric.charsearch import candidate_vectors
 from qtoric.cyclic import permutation_parity
 from qtoric.exactnum import det_int
@@ -18,9 +17,9 @@ from qtoric.exactnum import det_int
 def brute_force_search(structure, orientation, base, bound, goal):
     """The solutions as carrier-ordered vector tuples, in enumeration order."""
     n = len(base)
-    m = num_carriers_of(structure)
+    m = structure.num_carriers
     free = [i for i in range(1, m + 1) if i not in base]
-    cells = cells_of(structure)
+    cells = structure.cells
     tuples = orientation.tuples
     base_pos = list(cells).index(frozenset(base))
     if permutation_parity(base, tuples[base_pos]) < 0:

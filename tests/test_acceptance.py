@@ -11,16 +11,18 @@ import time
 from contextlib import contextmanager
 from itertools import combinations, product
 
+import pytest
+
 from qtoric.charmap import (
     almost_complex_check,
     apply_flip,
     flip_system,
-    num_carriers_of,
     sign_pattern,
     unimodularity_check,
 )
 from qtoric.charsearch import SearchConfig, search
 from qtoric.complexes import (
+    OrientationData,
     coherent_orientation,
     euler_characteristic,
     f_vector,
@@ -35,6 +37,7 @@ from qtoric.cyclic import (
     permutation_parity,
     verify_facets_geometric,
 )
+from qtoric.errors import IncoherentOrientationError
 from qtoric.exactnum import Gf2System, gf2_solve
 from qtoric.fanchk import (
     SimplicialCone,
@@ -128,6 +131,14 @@ def ridge_conflicts(tuples):
     return conflicts
 
 
+# The 8 ridges on which the published list induces the same orientation
+# from both sides, by the pair of tuples that meet there.
+D47_PUBLISHED_CONFLICTS = {
+    ("1234", "1245"), ("1245", "1256"), ("1245", "1457"),
+    ("1245", "2345"), ("1256", "1567"), ("1267", "1567"),
+    ("1457", "1567"), ("1567", "4567"),
+}
+
 # The published list with its two parity misprints corrected: 1245 and 1567
 # are the only entries that change.
 D47_CORRECTED_TUPLES = (
@@ -154,11 +165,7 @@ def test_criterion_4_orientation_tuples():
         )
         print(f"  published list: case {published.case}, "
               f"minority parity at {published.minority()}")
-        assert ridge_conflicts(D47_REFERENCE_TUPLES) == {
-            ("1234", "1245"), ("1245", "1256"), ("1245", "1457"),
-            ("1245", "2345"), ("1256", "1567"), ("1267", "1567"),
-            ("1457", "1567"), ("1567", "4567"),
-        }
+        assert ridge_conflicts(D47_REFERENCE_TUPLES) == D47_PUBLISHED_CONFLICTS
         assert ridge_conflicts(D47_CORRECTED_TUPLES) == set()
         changed = [
             _label(p)
@@ -172,8 +179,19 @@ def test_criterion_4_orientation_tuples():
         assert comparison.case in ("same", "reversed")
 
 
+def test_published_d47_list_is_refused_as_an_orientation():
+    # given as an orientation, the published list fails the coherence check
+    # with one of its 8 conflicts as the certificate
+    published = OrientationData(D47_REFERENCE_TUPLES)
+    with pytest.raises(IncoherentOrientationError) as err:
+        sign_pattern(d47_polar().polytope, get_fixture("d47").charmap, published)
+    exc = err.value
+    assert tuple(sorted((_label(exc.cell_a), _label(exc.cell_b)))) in D47_PUBLISHED_CONFLICTS
+    assert exc.ridge == set(exc.cell_a) & set(exc.cell_b)
+
+
 def brute_force_flips(structure, cm, orientation):
-    m = num_carriers_of(structure)
+    m = structure.num_carriers
     good = []
     for flip in product((1, -1), repeat=m):
         signs = sign_pattern(structure, apply_flip(cm, flip), orientation)
@@ -301,7 +319,7 @@ def test_criterion_9_property_suites():
             before = sign_pattern(structure, cm, orientation)
             for _ in range(20):
                 flip = tuple(rng.choice((-1, 1))
-                             for _ in range(num_carriers_of(structure)))
+                             for _ in range(structure.num_carriers))
                 after = sign_pattern(structure, apply_flip(cm, flip), orientation)
                 for tup, s0, s1 in zip(orientation.tuples, before, after):
                     prod = 1

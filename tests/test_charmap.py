@@ -10,10 +10,8 @@ from qtoric.charmap import (
     CharacteristicMap,
     almost_complex_check,
     apply_flip,
-    cells_of,
     flip_from_bits,
     flip_system,
-    num_carriers_of,
     sign_pattern,
     unimodularity_check,
     vertex_sign,
@@ -177,6 +175,13 @@ class TestVertexSign:
         assert unimodularity_check(point, cm) == (True, [])
         assert sign_pattern(point, cm, OrientationData(((),), False)) == (1,)
 
+    def test_one_label_cells_carry_no_coherence_condition(self):
+        # a 1-tuple has one order only, so the segment's two ends, which
+        # share the empty ridge, need not induce opposite orientations on it
+        segment = SimplePolytope(2, 1, ((1,), (2,)))
+        cm = CharacteristicMap(1, ((1,), (-1,)))
+        assert sign_pattern(segment, cm, OrientationData(((1,), (2,)))) == (1, -1)
+
     def test_sign_pattern_d47(self):
         signs = sign_pattern(
             d47_polar().polytope, get_fixture("d47").charmap, d47_orientation()
@@ -217,7 +222,7 @@ class TestFlips:
             before = sign_pattern(structure, cm, orientation)
             for _ in range(20):
                 flip = tuple(
-                    rng.choice((-1, 1)) for _ in range(num_carriers_of(structure))
+                    rng.choice((-1, 1)) for _ in range(structure.num_carriers)
                 )
                 after = sign_pattern(structure, apply_flip(cm, flip), orientation)
                 for tup, s0, s1 in zip(orientation.tuples, before, after):
@@ -230,7 +235,7 @@ class TestFlips:
         for name, structure, cm, orientation in cases_with_signs():
             if cm.rank % 2:
                 continue
-            flip = (-1,) * num_carriers_of(structure)
+            flip = (-1,) * structure.num_carriers
             assert sign_pattern(structure, apply_flip(cm, flip), orientation) == \
                 sign_pattern(structure, cm, orientation), name
 
@@ -257,7 +262,7 @@ class TestFlips:
 
 def brute_force_flip(structure, cm, orientation):
     """All flip vectors that make every cell sign +1, by enumeration."""
-    m = num_carriers_of(structure)
+    m = structure.num_carriers
     good = []
     for flip in itertools.product((1, -1), repeat=m):
         signs = sign_pattern(structure, apply_flip(cm, flip), orientation)
@@ -330,7 +335,7 @@ class TestCells:
     def test_cells_of_polytope_and_complex(self):
         square = get_fixture("square")
         barnette = get_fixture("barnette")
-        assert cells_of(square.polytope) == square.polytope.vertices
-        assert cells_of(barnette.complex) == barnette.complex.facets
-        assert num_carriers_of(square.polytope) == 4
-        assert num_carriers_of(barnette.complex) == 8
+        assert square.polytope.cells == square.polytope.vertices
+        assert barnette.complex.cells == barnette.complex.facets
+        assert square.polytope.num_carriers == 4
+        assert barnette.complex.num_carriers == 8

@@ -13,10 +13,16 @@ import qtoric.charmap
 import qtoric.cli as cli
 import qtoric.complexes
 import qtoric.cyclic
+from qtoric.charmap import CharacteristicMap, cell_label, sign_pattern
 from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
+from qtoric.complexes import OrientationData, coherent_orientation
 from qtoric.cyclic import polar_of_angles
 from qtoric.documents import serialize_document
-from qtoric.fixtures import FIXTURE_NAMES, d47_orientation, get_fixture
+from qtoric.errors import IncoherentOrientationError
+from qtoric.fixtures import FIXTURE_NAMES, d47_orientation, d47_polar, get_fixture
+
+from test_acceptance import ridge_conflicts
+from test_complexes import check_coherence
 
 INPUT_COMMANDS = (
     "fvector", "hvector", "orient", "dualize", "cyclic-gen", "polar",
@@ -401,6 +407,126 @@ class TestSearchCommand:
         assert "orientation tuple (1, 2, 2) is not a permutation of cell [1, 2]" in err
 
 
+# unimodular maps for the orientable fixtures that ship without one
+_UNIT = [[int(i == j) for j in range(4)] for i in range(4)]
+EXTRA_MAPS = {
+    "cross4": _UNIT + [[-x for x in row] for row in _UNIT],
+    "simplex4": _UNIT + [[-1, -1, -1, -1]],
+}
+ORIENTED = tuple(name for name in FIXTURE_NAMES if name != "rp2_6")
+
+
+def oriented_fixture(name, tmp_path):
+    """The structure, its fixture orientation, a charmap and the CLI inputs
+    that name them."""
+    fx = get_fixture(name)
+    inputs = [f"fixtures:{name}"]
+    cm = fx.charmap
+    if name in EXTRA_MAPS:
+        cm = CharacteristicMap.of(4, EXTRA_MAPS[name])
+        path = tmp_path / "charmap.json"
+        path.write_text(serialize_document(cm))
+        inputs.append(str(path))
+    if name == "d47":
+        return d47_polar().polytope, d47_orientation(), cm, inputs
+    if fx.orientation is not None:
+        return fx.polytope, fx.orientation, cm, inputs
+    return fx.complex, coherent_orientation(fx.complex), cm, inputs
+
+
+class TestOrientationCoherence:
+    """Every command that reads an orientation refuses an incoherent one
+    with exit 2, naming two cells and the ridge on which they induce the
+    same orientation; ridge_conflicts and check_coherence are the oracles."""
+
+    @pytest.mark.parametrize("name", ORIENTED)
+    def test_one_swapped_tuple_is_refused(self, capsys, tmp_path, name):
+        structure, orientation, cm, inputs = oriented_fixture(name, tmp_path)
+        assert orientation.ridge_conflict is None
+        assert ridge_conflicts(orientation.tuples) == set()
+        check_coherence(structure, orientation)
+        path = tmp_path / "orientation.json"
+        path.write_text(serialize_document(orientation))
+        assert run(capsys, "signs", *inputs, str(path))[0] in (EXIT_OK, EXIT_CHECK_FAILED)
+        base = ",".join(map(str, orientation.tuples[0]))
+        for i, t in enumerate(orientation.tuples):
+            tuples = list(orientation.tuples)
+            tuples[i] = (t[1], t[0]) + t[2:]
+            swapped = OrientationData(tuple(tuples))
+            with pytest.raises(AssertionError):
+                check_coherence(structure, swapped)
+            with pytest.raises(IncoherentOrientationError) as err:
+                sign_pattern(structure, cm, swapped)
+            exc = err.value
+            assert tuples[i] in (exc.cell_a, exc.cell_b)
+            pair = tuple(sorted((cell_label(exc.cell_a), cell_label(exc.cell_b))))
+            assert pair in ridge_conflicts(swapped.tuples)
+            assert exc.ridge == set(exc.cell_a) & set(exc.cell_b)
+            path.write_text(serialize_document(swapped))
+            for command in ("signs", "almost-complex", "flip-solve", "search"):
+                argv = [command, *inputs, str(path)]
+                if command == "search":
+                    argv += ["--base-vertex", base]
+                assert run(capsys, *argv) == (EXIT_INPUT_ERROR, "", f"error: {exc}\n"), argv
+
+    def test_swapped_d47_tuple_message(self, capsys, tmp_path):
+        tuples = [list(t) for t in d47_orientation().tuples]
+        assert tuples[2] == [1, 2, 4, 5]
+        tuples[2] = [2, 1, 4, 5]
+        path = tmp_path / "orientation.json"
+        path.write_text(json.dumps({"kind": "orientation", "tuples": tuples}))
+        for extra in ([], ["--base-vertex", "2,1,3,7"]):
+            command = "search" if extra else "signs"
+            code, out, err = run(capsys, command, "fixtures:d47", str(path), *extra)
+            assert (code, out) == (EXIT_INPUT_ERROR, "")
+            assert err == (
+                "error: incoherent orientation: cells (1, 2, 3, 4) and (2, 1, 4, 5) "
+                "induce the same orientation on ridge [1, 2, 4]\n"
+            )
+
+    def test_fan_check_ignores_the_orientation(self, capsys, tmp_path):
+        tuples = [list(t) for t in d47_orientation().tuples]
+        tuples[2] = [2, 1, 4, 5]
+        path = tmp_path / "orientation.json"
+        path.write_text(json.dumps({"kind": "orientation", "tuples": tuples}))
+        code, report, err = run_json(capsys, "fan-check", "fixtures:d47", str(path))
+        want_code, want, _ = run_json(capsys, "fan-check", "fixtures:d47")
+        assert (code, err) == (want_code, "")
+        assert (report["verdict"], report["details"]) == (want["verdict"], want["details"])
+
+
+class TestCellValidation:
+    """Both structure documents go through one validation pass."""
+
+    def test_complex_facet_with_a_repeated_label(self, capsys, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({
+            "kind": "simplicial_complex", "num_vertices": 3,
+            "facets": [[1, 2, 2], [1, 3], [2, 3]],
+        }))
+        err = assert_input_error(capsys, "fvector", str(path))
+        assert err == "error: facet [1, 2, 2] repeats a label\n"
+
+    def test_polytope_vertex_with_a_repeated_label(self, capsys, tmp_path):
+        path = tmp_path / "polytope.json"
+        path.write_text(json.dumps({
+            "kind": "simple_polytope", "num_facets": 3, "dimension": 2,
+            "vertices": [[1, 2, 2], [2, 3], [1, 3]],
+        }))
+        err = assert_input_error(capsys, "check-unimodular", "fixtures:triangle", str(path))
+        assert err == "error: vertex [1, 2, 2] repeats a label\n"
+
+    @pytest.mark.parametrize("command", ["orient", "dualize", "fvector"])
+    def test_complex_vertex_in_no_facet(self, capsys, tmp_path, command):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({
+            "kind": "simplicial_complex", "num_vertices": 5,
+            "facets": [[1, 2], [2, 3], [1, 3]],
+        }))
+        err = assert_input_error(capsys, command, str(path))
+        assert err == "error: vertices [4, 5] appear in no facet\n"
+
+
 class TestErrorsAndOutput:
     def test_malformed_json_file(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -697,7 +823,9 @@ class TestComplexInvariantTraffic:
 
         monkeypatch.setattr(qtoric.charmap, "sign_pattern", spy)
         outs = {run(capsys, "signs", "fixtures:barnette") for _ in range(3)}
-        assert len(outs) == 1 and len(seen) == 3 and ridge_maps == [19]
+        # the complex's ridge map, and the one the coherence check builds of
+        # the orientation's tuples, once since the verdict is kept on it
+        assert len(outs) == 1 and len(seen) == 3 and ridge_maps == [19, 19]
         cached = get_fixture("barnette").complex.coherent_orientation
         assert all(orientation is cached for orientation in seen)
 

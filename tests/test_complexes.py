@@ -174,6 +174,10 @@ class TestOrientation:
         pseudomanifold_check(single)[1].clear()
         assert len(pseudomanifold_check(single)[1]) == 4
 
+    def test_zero_sphere_keeps_its_one_label_tuples(self):
+        k = SimplicialComplex.of(2, [(1,), (2,)])
+        assert coherent_orientation(k).tuples == ((1,), (2,))
+
     def test_rp2_non_orientable(self):
         with pytest.raises(NonOrientableError) as err:
             coherent_orientation(get_fixture("rp2_6").complex)
@@ -236,6 +240,41 @@ class TestSimplePolytopeValidation:
     def test_unused_facet_rejected(self):
         with pytest.raises(ValidationError):
             SimplePolytope.of(3, 2, [(1, 2)])
+
+
+class TestSharedCellValidation:
+    """Complexes and polytopes share one validation pass: a cell may not
+    repeat a label, and every carrier must lie in some cell."""
+
+    def test_repeated_label_in_a_facet_rejected(self):
+        # a set would read [1, 2, 2] as the edge 12 of the triangle boundary
+        with pytest.raises(ValidationError, match=r"facet \[1, 2, 2\] repeats a label"):
+            SimplicialComplex.of(3, [[1, 2, 2], [1, 3], [2, 3]])
+
+    def test_repeated_label_in_a_vertex_rejected(self):
+        with pytest.raises(ValidationError, match=r"vertex \[1, 1, 2\] repeats a label"):
+            SimplePolytope.of(3, 2, [[1, 1, 2], [2, 3], [1, 3]])
+
+    def test_complex_vertex_in_no_facet_rejected(self):
+        with pytest.raises(ValidationError, match=r"vertices \[4, 5\] appear in no facet"):
+            SimplicialComplex.of(5, [[1, 2], [2, 3], [1, 3]])
+
+    def test_polytope_facet_in_no_vertex_rejected(self):
+        with pytest.raises(ValidationError, match=r"facets \[4, 5\] appear in no vertex"):
+            SimplePolytope.of(5, 2, [[1, 2], [2, 3], [1, 3]])
+
+    def test_out_of_range_label_rejected(self):
+        with pytest.raises(ValidationError, match="vertex 4 out of range"):
+            SimplicialComplex.of(3, [[1, 2], [2, 3], [3, 4], [1, 3]])
+        with pytest.raises(ValidationError, match="facet 0 out of range"):
+            SimplePolytope.of(3, 2, [[0, 1], [1, 2], [2, 3], [1, 3]])
+
+    def test_both_kinds_expose_one_cell_table(self):
+        k = get_fixture("barnette").complex
+        p = dualize(k)
+        assert p.cells == k.cells == k.facets == p.vertices
+        assert p.num_carriers == k.num_carriers == 8
+        assert p.ridges == k.ridges
 
 
 class TestIntegerLabels:

@@ -11,6 +11,7 @@ import pytest
 from qtoric import fanchk
 from qtoric.charmap import CharacteristicMap
 from qtoric.cli import main
+from qtoric.complexes import SimplePolytope, SimplicialComplex
 from qtoric.errors import ConeDegeneracyError, ValidationError
 from qtoric.exactnum import strict_feasibility
 from qtoric.fanchk import (
@@ -20,7 +21,7 @@ from qtoric.fanchk import (
     cones_overlap_interior,
     fan_properness,
 )
-from qtoric.fixtures import d47_polar, get_fixture
+from qtoric.fixtures import FIXTURE_NAMES, d47_polar, get_fixture
 
 from field_oracle import cones_overlap_interior as lp_overlap_oracle
 from ray_oracle import overlap_by_extreme_rays, strictly_inside
@@ -427,3 +428,64 @@ class TestCoverage:
         assert len(directions) == 48
         for d in directions:
             assert any(cone_membership(c, d)[0] for c in cones), d
+
+
+def adjacency_by_pairs(cells):
+    """The all-pairs scan cones_from_charmap made before it read the ridge
+    map: the 1-based pairs of cells that share all but one carrier."""
+    n = len(cells[0])
+    return [
+        (i, j)
+        for i, j in combinations(range(1, len(cells) + 1), 2)
+        if len(cells[i - 1] & cells[j - 1]) == n - 1
+    ]
+
+
+def fixture_structure(name):
+    fx = get_fixture(name)
+    return d47_polar().polytope if name == "d47" else fx.polytope or fx.complex
+
+
+def moment_charmap(structure):
+    """Carrier t gets (1, t, ..., t^(n-1)): any n of these vectors are
+    independent (a Vandermonde minor), so every cell spans a cone."""
+    n = len(structure.cells[0])
+    return CharacteristicMap.of(
+        n, [[t ** k for k in range(n)] for t in range(1, structure.num_carriers + 1)]
+    )
+
+
+def relabeled(structure, rng):
+    """The same structure with its carriers permuted and its cells shuffled."""
+    perm = list(range(1, structure.num_carriers + 1))
+    rng.shuffle(perm)
+    cells = [[perm[v - 1] for v in cell] for cell in structure.cells]
+    rng.shuffle(cells)
+    if isinstance(structure, SimplePolytope):
+        return SimplePolytope.of(structure.num_facets, structure.dimension, cells)
+    return SimplicialComplex.of(structure.num_vertices, cells)
+
+
+class TestRidgeAdjacency:
+    """cones_from_charmap reads its adjacency off the ridge map; the old
+    all-pairs scan is the oracle."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_matches_the_all_pairs_scan(self, name):
+        rng = random.Random(FIXTURE_NAMES.index(name))
+        structure = fixture_structure(name)
+        for k in range(8):
+            s = structure if k == 0 else relabeled(structure, rng)
+            cones, adjacency = cones_from_charmap(s, moment_charmap(s))
+            assert len(cones) == len(s.cells)
+            assert adjacency == adjacency_by_pairs(s.cells)
+
+    def test_a_ridge_in_three_cells_gives_three_pairs(self):
+        book = SimplicialComplex.of(5, [(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+        _, adjacency = cones_from_charmap(book, moment_charmap(book))
+        assert adjacency == adjacency_by_pairs(book.cells) == [(1, 2), (1, 3), (2, 3)]
+
+    def test_d47_has_28_adjacent_pairs(self):
+        polytope = d47_polar().polytope
+        _, adjacency = cones_from_charmap(polytope, get_fixture("d47").charmap)
+        assert len(adjacency) == len(polytope.ridges) == 28
