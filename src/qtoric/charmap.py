@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .complexes import CellTable, OrientationData
-from .errors import CoverageError, IncoherentOrientationError, UnimodularityError, ValidationError
+from .complexes import CellTable, OrientationData, OrientedCells, cell_label
+from .errors import CoverageError, UnimodularityError, ValidationError
 from .exactnum import Gf2System, as_int, as_ints, bareiss_det, det_int, is_primitive
 
 SignPattern = Tuple[int, ...]
@@ -56,10 +56,6 @@ class CharacteristicMap:
     @property
     def num_carriers(self) -> int:
         return len(self.vectors)
-
-
-def cell_label(cell: Iterable[int]) -> str:
-    return "".join(str(i) for i in sorted(cell))
 
 
 def _check_coverage(structure: CellTable, cm: CharacteristicMap) -> None:
@@ -112,30 +108,15 @@ def vertex_sign(cm: CharacteristicMap, ordered: Sequence[int]) -> int:
     return _unimodular(det_int([cm.vector(i) for i in ordered]), ordered)
 
 
-def _check_orientation(structure: CellTable, orientation: OrientationData) -> None:
-    """The tuples must order the cells, in cell order, and cohere: the two
-    cells on a ridge induce opposite orientations on it."""
-    cells = structure.cells
-    if len(orientation.tuples) != len(cells):
-        raise ValidationError("orientation data does not match the cell list")
-    for t, cell in zip(orientation.tuples, cells):
-        if len(t) != len(cell) or frozenset(t) != cell:
-            raise ValidationError(
-                f"orientation tuple {t} is not a permutation of cell {sorted(cell)}"
-            )
-    if orientation.ridge_conflict is not None:
-        raise IncoherentOrientationError(*orientation.ridge_conflict)
-
-
 def sign_pattern(
     structure: CellTable, cm: CharacteristicMap, orientation: OrientationData
 ) -> SignPattern:
     """Per-cell signs, in the orientation's cell order."""
     # the two checks fix n-sized tuples with labels in 1..m
     _check_coverage(structure, cm)
-    _check_orientation(structure, orientation)
+    tuples = OrientedCells.of(structure, orientation).tuples
     vectors = cm.vectors
-    return tuple(_unimodular(_cell_det(vectors, t), t) for t in orientation.tuples)
+    return tuple(_unimodular(_cell_det(vectors, t), t) for t in tuples)
 
 
 def almost_complex_check(
@@ -143,11 +124,8 @@ def almost_complex_check(
 ) -> Tuple[bool, List[str]]:
     """True iff every sign is +1; offenders are reported by label."""
     signs = sign_pattern(structure, cm, orientation)
-    offenders = [
-        cell_label(t)
-        for t, s in zip(orientation.tuples, signs)
-        if s == -1
-    ]
+    labels = OrientedCells.of(structure, orientation).labels
+    offenders = [label for label, s in zip(labels, signs) if s == -1]
     return (not offenders, offenders)
 
 
@@ -161,11 +139,9 @@ def flip_system(
     equation per cell with right-hand side 1 exactly when sigma(v) = -1.
     """
     signs = sign_pattern(structure, cm, orientation)
-    equations = [
-        (frozenset(t), 1 if s == -1 else 0)
-        for t, s in zip(orientation.tuples, signs)
-    ]
-    return Gf2System.of(structure.num_carriers, equations)
+    masks = OrientedCells.of(structure, orientation).masks
+    rows = tuple((mask, 1 if s == -1 else 0) for mask, s in zip(masks, signs))
+    return Gf2System(structure.num_carriers, rows)
 
 
 def apply_flip(cm: CharacteristicMap, flip: Sequence[int]) -> CharacteristicMap:

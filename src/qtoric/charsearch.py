@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charmap import CharacteristicMap, _check_orientation
-from .complexes import CellTable, OrientationData, permutation_parity
+from .charmap import CharacteristicMap
+from .complexes import CellTable, OrientationData, OrientedCells, permutation_parity
 from .errors import NormalizationError, ValidationError
 from .exactnum import adjugate, as_int, as_ints, bareiss_det, is_primitive
 
@@ -140,14 +140,13 @@ def plan_search(structure: CellTable, orientation: OrientationData,
     orientation gives it the opposite parity the whole orientation is
     reversed first (the same search up to an ambient reflection).
     """
-    _check_orientation(structure, orientation)
+    tuples = OrientedCells.of(structure, orientation).tuples
     cells = structure.cells
     base = frozenset(config.base_vertex)
     if len(base) != len(config.base_vertex) or base not in cells:
         raise ValidationError(
             f"base vertex {config.base_vertex} is not a cell of the structure"
         )
-    tuples = orientation.tuples
     if permutation_parity(config.base_vertex, tuples[cells.index(base)]) < 0:
         tuples = orientation.reversed().tuples
 

@@ -11,6 +11,12 @@ writes output: ``main`` alone loads the inputs, builds the report envelope
 ``{"check", "verdict", "details", "provenance"}`` and writes it to stdout
 or ``--output``.  ``dualize`` and ``fixtures`` return the bare document
 they print instead of a verdict.
+
+What depends only on process-cached objects is done once per process: the
+parser, each fixture, the polar of an angle tuple and the encoded details
+of ``polar``, ``cyclic-gen`` and ``orient-tuples`` on it, and each cached
+orientation's checked `OrientedCells` table.  A document read from a file
+is a new object, so it is decoded and checked on every call.
 """
 
 from __future__ import annotations
@@ -26,10 +32,11 @@ from . import charmap as cm_mod
 from . import charsearch, complexes, cyclic, fanchk
 from .charmap import CharacteristicMap
 from .charsearch import GOALS, SearchConfig
-from .complexes import OrientationData, SimplePolytope, SimplicialComplex
-from .cyclic import AngleSpec, CaratheodoryRealization, PolarPolytope
+from .complexes import OrientationData, OrientedCells, SimplePolytope, SimplicialComplex
+from .cyclic import AngleSpec, CaratheodoryRealization
 from .documents import (
-    canonical_json, document_to_obj, fraction_to_json, parse_document, sqrt2_to_json
+    Fragment, canonical_json, document_to_obj, fraction_to_json, fragment, parse_document,
+    sqrt2_to_json
 )
 from .errors import NonOrientableError, QtoricError
 from .exactnum import gf2_solve
@@ -41,8 +48,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-# what a subcommand returns: verdict, details, exit code
-Result = Tuple[Any, Dict[str, Any], int]
+# what a subcommand returns: verdict, details (a dict or a Fragment), exit code
+Result = Tuple[Any, Any, int]
 
 
 @dataclass
@@ -134,15 +141,15 @@ def _exit(ok: bool) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _polar(ctx: Context) -> PolarPolytope:
-    return cyclic.polar_of_angles(_need(ctx.angles, "an angles document").eighth_turns)
+def _angles(ctx: Context) -> Tuple[int, ...]:
+    return _need(ctx.angles, "an angles document").eighth_turns
 
 
 def _structure(ctx: Context):
     """The polytope or complex to check.  Angles without a polytope give the
     polar, and its orientation tuples unless an orientation was given."""
     if ctx.polytope is None and ctx.angles is not None:
-        polar = _polar(ctx)
+        polar = cyclic.polar_of_angles(_angles(ctx))
         ctx.polytope = polar.polytope
         if ctx.orientation is None:
             ctx.orientation = polar.orientation
@@ -207,11 +214,23 @@ def _cmd_dualize(ctx: Context, args) -> Dict[str, Any]:
     return document_to_obj(complexes.dualize(k))
 
 
-def _cmd_cyclic_gen(ctx: Context, args) -> Result:
-    angles = _need(ctx.angles, "an angles document")
-    realization = CaratheodoryRealization.of(angles.eighth_turns)
+@cache
+def _angles_report(build, eighth_turns: Tuple[int, ...]) -> Tuple[str, Fragment]:
+    """build(eighth_turns) -> (verdict, details), with the details encoded
+    once per process and angle tuple; a failed build raises and is not kept."""
+    verdict, details = build(eighth_turns)
+    return verdict, fragment(details)
+
+
+def _on_angles(build):
+    """The subcommand whose report depends on the angles document alone."""
+    return lambda ctx, args: (*_angles_report(build, _angles(ctx)), EXIT_OK)
+
+
+def _cyclic_gen(eighth_turns: Tuple[int, ...]):
+    realization = CaratheodoryRealization.of(eighth_turns)
     points = [[sqrt2_to_json(x) for x in p] for p in realization.points]
-    return "ok", {"eighth_turns": list(angles.eighth_turns), "points": points}, EXIT_OK
+    return "ok", {"eighth_turns": list(eighth_turns), "points": points}
 
 
 def _cmd_gale(ctx: Context, args) -> Result:
@@ -220,24 +239,24 @@ def _cmd_gale(ctx: Context, args) -> Result:
     return [list(f) for f in facets], details, EXIT_OK
 
 
-def _cmd_polar(ctx: Context, args) -> Result:
-    polar = _polar(ctx)
+def _polar_report(eighth_turns: Tuple[int, ...]):
+    polar = cyclic.polar_of_angles(eighth_turns)
     coords = [[sqrt2_to_json(x) for x in v] for v in polar.vertex_coords]
-    details = {"polytope": document_to_obj(polar.polytope), "vertex_coords": coords}
-    return "ok", details, EXIT_OK
+    return "ok", {"polytope": document_to_obj(polar.polytope), "vertex_coords": coords}
 
 
-def _cmd_orient_tuples(ctx: Context, args) -> Result:
-    orientation = _polar(ctx).orientation
+def _orient_tuples(eighth_turns: Tuple[int, ...]):
+    """The polar's tuples; the D4(7) ones are compared with the published list."""
+    orientation = cyclic.polar_of_angles(eighth_turns).orientation
     details: Dict[str, Any] = {"orientation": document_to_obj(orientation)}
-    if tuple(ctx.angles.eighth_turns) != D47_ANGLES:
-        return "ok", details, EXIT_OK
+    if eighth_turns != D47_ANGLES:
+        return "ok", details
     comparison = cyclic.compare_orientation_tuples(orientation, D47_REFERENCE_TUPLES)
     details["reference_comparison"] = {
         "case": comparison.case,
         "minority_parity_vertices": comparison.minority(),
     }
-    return comparison.case, details, EXIT_OK
+    return comparison.case, details
 
 
 def _cmd_check_unimodular(ctx: Context, args) -> Result:
@@ -253,9 +272,8 @@ def _cmd_signs(ctx: Context, args) -> Result:
     cm = _need(ctx.charmap, "a charmap document")
     orientation = _orientation(ctx)
     signs = cm_mod.sign_pattern(structure, cm, orientation)
-    by_vertex = sorted(
-        (cm_mod.cell_label(t), s) for t, s in zip(orientation.tuples, signs)
-    )
+    # sorted as (label, sign) pairs: {1, 23} and {12, 3} both read "123"
+    by_vertex = sorted(zip(OrientedCells.of(structure, orientation).labels, signs))
     ok = all(s == 1 for s in signs)
     verdict = [{"sign": s, "vertex": v} for v, s in by_vertex]
     return verdict, {"all_positive": ok}, _exit(ok)
@@ -278,10 +296,9 @@ def _cmd_flip_solve(ctx: Context, args) -> Result:
         flip = list(cm_mod.flip_from_bits(result.solution))
         details = {"flip": flip, "solution_space_dimension": result.dimension}
         return "feasible", details, EXIT_OK
-    labels = [
-        cm_mod.cell_label(orientation.tuples[i - 1]) for i in result.certificate
-    ]
-    return "infeasible", {"contradictory_vertices": sorted(labels)}, EXIT_CHECK_FAILED
+    labels = OrientedCells.of(structure, orientation).labels
+    contradictory = sorted(labels[i - 1] for i in result.certificate)
+    return "infeasible", {"contradictory_vertices": contradictory}, EXIT_CHECK_FAILED
 
 
 def _cmd_fan_check(ctx: Context, args) -> Result:
@@ -390,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("hvector", _cmd_hvector)
     add("orient", _cmd_orient)
     add("dualize", _cmd_dualize)
-    add("cyclic-gen", _cmd_cyclic_gen)
+    add("cyclic-gen", _on_angles(_cyclic_gen))
     p = add("gale", _cmd_gale, needs_inputs=False)
     p.add_argument("--n", type=_integer, required=True, help="number of curve points")
     p.add_argument("--d", type=_integer, default=4, help="polytope dimension")
-    add("polar", _cmd_polar)
-    add("orient-tuples", _cmd_orient_tuples)
+    add("polar", _on_angles(_polar_report))
+    add("orient-tuples", _on_angles(_orient_tuples))
     add("check-unimodular", _cmd_check_unimodular)
     add("signs", _cmd_signs)
     add("almost-complex", _cmd_almost_complex)

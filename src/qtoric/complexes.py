@@ -10,7 +10,8 @@ computes its ridge map, and a complex its pseudomanifold offenders,
 coherent orientation and f-vector, on first use and keeps them (immutable
 values), so a structure that is used again, like a process-cached fixture,
 computes each at most once.  A failure is not kept: asking again recomputes
-and raises again.
+and raises again.  An orientation keeps, the same way, its checked
+`OrientedCells` table for the structure it orients.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import NonOrientableError, ValidationError
+from .errors import IncoherentOrientationError, NonOrientableError, ValidationError
 from .exactnum import as_int, as_ints
 
 FVector = Tuple[int, ...]
@@ -199,19 +200,51 @@ class OrientationData:
         flipped = tuple((t[1], t[0]) + t[2:] for t in self.tuples)
         return OrientationData(flipped, not self.reversed_seed)
 
-    @cached_property
-    def ridge_conflict(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], FrozenSet[int]]]:
-        """Two tuples that induce the same orientation on their shared ridge,
-        and that ridge, or None when coherent; computed once per object.  A
-        one-label tuple has one order only, so the empty ridge is skipped."""
-        cells = [frozenset(t) for t in self.tuples]
-        parities = [_parity(t) for t in self.tuples]
-        for ridge, owners in _ridge_map(cells).items():
+
+@dataclass(frozen=True, eq=False)
+class OrientedCells:
+    """Per cell of a structure: its tuple of a checked orientation, its
+    label (sorted carriers run together) and its carrier bitmask (carrier i
+    at bit i - 1).  The check: each tuple orders its cell, in cell order,
+    and on each ridge the two cells induce opposite orientations."""
+
+    structure: CellTable
+    tuples: Tuple[Tuple[int, ...], ...]
+    labels: Tuple[str, ...]
+    masks: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, structure: CellTable, orientation: OrientationData) -> "OrientedCells":
+        """The table, kept on the orientation for the last structure it was
+        built for; a failed check raises and keeps nothing."""
+        kept = orientation.__dict__.get("_cells")
+        if kept is not None and kept.structure is structure:
+            return kept
+        cells, tuples = structure.cells, orientation.tuples
+        if len(tuples) != len(cells):
+            raise ValidationError("orientation data does not match the cell list")
+        for t, cell in zip(tuples, cells):
+            if len(t) != len(cell) or frozenset(t) != cell:
+                raise ValidationError(
+                    f"orientation tuple {t} is not a permutation of cell {sorted(cell)}"
+                )
+        parities = [_parity(t) for t in tuples]
+        # a one-label cell has one order only, so the empty ridge is skipped
+        for ridge, owners in structure.ridges.items():
             for a, b in combinations(owners, 2):
                 if ridge and (_induced(cells[a], parities[a], ridge)
                               == _induced(cells[b], parities[b], ridge)):
-                    return self.tuples[a], self.tuples[b], ridge
-        return None
+                    raise IncoherentOrientationError(tuples[a], tuples[b], ridge)
+        masks = tuple(sum(1 << (i - 1) for i in cell) for cell in cells)
+        # kept past the frozen dataclass, as functools.cached_property does
+        kept = orientation.__dict__["_cells"] = cls(
+            structure, tuples, tuple(map(cell_label, cells)), masks
+        )
+        return kept
+
+
+def cell_label(cell: Iterable[int]) -> str:
+    return "".join(str(i) for i in sorted(cell))
 
 
 def _parity(t: Sequence[int]) -> int:

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
-    OrientationData, SimplePolytope, SimplicialComplex, dualize, permutation_parity
+    OrientationData, SimplePolytope, SimplicialComplex, cell_label, dualize, permutation_parity
 )
 from .errors import (
     DegeneracyError,
@@ -345,8 +345,7 @@ def compare_orientation_tuples(
         key = frozenset(t)
         if key not in ref_by_set:
             raise ValidationError(f"tuple {t} has no reference counterpart")
-        label = "".join(str(i) for i in sorted(t))
-        parities.append((label, permutation_parity(t, ref_by_set[key])))
+        parities.append((cell_label(t), permutation_parity(t, ref_by_set[key])))
     values = {p for _, p in parities}
     if values == {1}:
         case = "same"

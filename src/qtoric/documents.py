@@ -12,8 +12,9 @@ plus a newline, written by a small recursive encoder instead: with
 about twice as slow.  Strings go through ``json``'s own ASCII escaper, ints
 through ``int.__repr__``, dict keys must be strings and are sorted, each
 list or dict is joined in one ``str.join``, and any other value (a float, a
-Fraction) raises TypeError.  ``tests/test_documents.py`` keeps ``json.dumps``
-as the oracle.
+Fraction) raises TypeError.  A `Fragment`, text that `fragment` encoded
+once, is placed as it is at any indent.  ``tests/test_documents.py`` keeps
+``json.dumps`` as the oracle.
 """
 
 from __future__ import annotations
@@ -289,6 +290,16 @@ def canonical_json(obj: Any) -> str:
     return _encode(obj, "") + "\n"
 
 
+class Fragment(str):
+    """The canonical JSON text of a value at indent "", from `fragment`."""
+
+
+def fragment(obj: Any) -> Fragment:
+    """`obj` encoded once, for reports that embed the same value on every
+    call: `_encode` writes the text in place of the value."""
+    return Fragment(_encode(obj, ""))
+
+
 def _encode(obj: Any, indent: str) -> str:
     """`obj` as indented JSON whose first line is not indented and whose
     later lines start with `indent`."""
@@ -326,6 +337,10 @@ def _encode(obj: Any, indent: str) -> str:
                 else _encode(item, inner)
             )
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    if kind is Fragment:
+        # the text at indent "" with each later line indented: a string's
+        # JSON form never holds a raw newline, so each newline starts a line
+        return obj.replace("\n", "\n" + indent)
     if obj is None:
         return "null"
     if obj is True:

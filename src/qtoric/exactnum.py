@@ -272,11 +272,9 @@ def as_int(value, what: str) -> int:
 
 
 def is_primitive(vector: Sequence[int]) -> bool:
-    """Whether the entries have gcd 1; a non-integer entry raises TypeError."""
-    g = 0
-    for x in vector:
-        g = gcd(g, abs(index(x)))
-    return g == 1
+    """Whether the entries have gcd 1 (0 for no entries); a bool counts as
+    0 or 1, and a non-integer entry raises TypeError."""
+    return gcd(*vector) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +355,13 @@ def divide_z2(num: Z2, den: Z2, sqrt2: bool):
 class Gf2System:
     """Linear system over GF(2); variables are labeled 1..num_vars.
 
-    Each equation is (support, rhs): the variables in `support` must sum
-    to `rhs` mod 2.
+    Each row is (mask, rhs): the variables whose bits are set in `mask`
+    (variable v at bit v - 1) must sum to `rhs` mod 2.  `of` builds the
+    rows from (support, rhs) equations and checks them.
     """
 
     num_vars: int
-    equations: Tuple[Tuple[frozenset, int], ...]
+    rows: Tuple[Tuple[int, int], ...]
 
     @classmethod
     def of(cls, num_vars: int, equations: Iterable[Tuple[Iterable[int], int]]):
@@ -379,7 +378,13 @@ class Gf2System:
             for v in support:
                 if not 1 <= v <= num_vars:
                     raise DimensionError(f"variable {v} out of range 1..{num_vars}")
-        return cls(num_vars, eqs)
+        return cls(num_vars, tuple((sum(1 << (v - 1) for v in s), rhs) for s, rhs in eqs))
+
+    @property
+    def equations(self) -> Tuple[Tuple[frozenset, int], ...]:
+        """The rows as (support, rhs), the support a set of variable labels."""
+        labels = range(1, self.num_vars + 1)
+        return tuple((frozenset(v for v in labels if m >> (v - 1) & 1), r) for m, r in self.rows)
 
 
 @dataclass(frozen=True)
@@ -407,12 +412,7 @@ def gf2_solve(system: Gf2System) -> Gf2Result:
     """
     n = system.num_vars
     # rows as (variable bitmask, rhs bit, combination bitmask over equations)
-    work = []
-    for idx, (support, rhs) in enumerate(system.equations):
-        mask = 0
-        for v in support:
-            mask |= 1 << (v - 1)
-        work.append([mask, rhs, 1 << idx])
+    work = [[mask, rhs, 1 << idx] for idx, (mask, rhs) in enumerate(system.rows)]
     rank = 0
     pivot_rows = []  # (variable index, row)
     for var in range(n):
@@ -436,7 +436,7 @@ def gf2_solve(system: Gf2System) -> Gf2Result:
     for mask, rhs, combo in work[rank:]:
         if mask == 0 and rhs == 1:
             cert = tuple(
-                i + 1 for i in range(len(system.equations)) if (combo >> i) & 1
+                i + 1 for i in range(len(system.rows)) if (combo >> i) & 1
             )
             return Gf2Result(None, None, cert)
     # free variables set to 0; after Jordan elimination each pivot row has

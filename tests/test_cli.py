@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -15,10 +16,10 @@ import qtoric.complexes
 import qtoric.cyclic
 from qtoric.charmap import CharacteristicMap, cell_label, sign_pattern
 from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
-from qtoric.complexes import OrientationData, coherent_orientation
+from qtoric.complexes import OrientationData, OrientedCells, coherent_orientation
 from qtoric.cyclic import polar_of_angles
-from qtoric.documents import serialize_document
-from qtoric.errors import IncoherentOrientationError
+from qtoric.documents import canonical_json, serialize_document
+from qtoric.errors import IncoherentOrientationError, QtoricError
 from qtoric.fixtures import FIXTURE_NAMES, d47_orientation, d47_polar, get_fixture
 
 from test_acceptance import ridge_conflicts
@@ -442,7 +443,7 @@ class TestOrientationCoherence:
     @pytest.mark.parametrize("name", ORIENTED)
     def test_one_swapped_tuple_is_refused(self, capsys, tmp_path, name):
         structure, orientation, cm, inputs = oriented_fixture(name, tmp_path)
-        assert orientation.ridge_conflict is None
+        assert OrientedCells.of(structure, orientation).tuples == orientation.tuples
         assert ridge_conflicts(orientation.tuples) == set()
         check_coherence(structure, orientation)
         path = tmp_path / "orientation.json"
@@ -483,6 +484,19 @@ class TestOrientationCoherence:
                 "error: incoherent orientation: cells (1, 2, 3, 4) and (2, 1, 4, 5) "
                 "induce the same orientation on ridge [1, 2, 4]\n"
             )
+
+    def test_swapped_d47_tuple_fails_on_every_call(self, capsys, tmp_path):
+        # a document is a new orientation on each call, so it is checked on
+        # each call, after the fixture's own orientation has its table
+        tuples = [list(t) for t in d47_orientation().tuples]
+        tuples[2] = [2, 1, 4, 5]
+        path = tmp_path / "orientation.json"
+        path.write_text(json.dumps({"kind": "orientation", "tuples": tuples}))
+        assert run(capsys, "signs", "fixtures:d47")[0] in (EXIT_OK, EXIT_CHECK_FAILED)
+        results = [run(capsys, "signs", "fixtures:d47", str(path)) for _ in range(2)]
+        assert results[0] == results[1]
+        assert results[0][:2] == (EXIT_INPUT_ERROR, "")
+        assert results[0][2].startswith("error: incoherent orientation")
 
     def test_fan_check_ignores_the_orientation(self, capsys, tmp_path):
         tuples = [list(t) for t in d47_orientation().tuples]
@@ -790,6 +804,84 @@ class TestOrientationTraffic:
         assert calls == []
 
 
+def angle_sets(min_size):
+    return [sub for size in range(min_size, 9) for sub in combinations(range(8), size)]
+
+
+class TestReportFragments:
+    """polar, cyclic-gen and orient-tuples encode their details once per
+    angle tuple and process; the reports are those of the unencoded details."""
+
+    BUILDERS = {"cyclic-gen": cli._cyclic_gen, "polar": cli._polar_report,
+                "orient-tuples": cli._orient_tuples}
+
+    def test_every_angles_report_matches_its_unencoded_details(self, capsys, tmp_path):
+        compared = 0
+        for turns in angle_sets(0):
+            path = tmp_path / "angles.json"
+            path.write_text(json.dumps({"kind": "angles", "eighth_turns": list(turns)}))
+            for command, build in self.BUILDERS.items():
+                code, out, err = run(capsys, command, str(path))
+                if len(turns) < 5 and command != "cyclic-gen":
+                    assert code == EXIT_INPUT_ERROR
+                    continue
+                if code == EXIT_INPUT_ERROR:
+                    with pytest.raises(QtoricError) as exc:
+                        build(turns)
+                    assert err == f"error: {exc.value}\n"
+                    continue
+                verdict, details = build(turns)
+                report = {"check": command, "verdict": verdict, "details": details,
+                          "provenance": [f"file {path} (angles)"]}
+                assert (code, out, err) == (EXIT_OK, canonical_json(report), ""), turns
+                compared += 1
+        # every subset for cyclic-gen, and the 33 that have a polar twice
+        assert compared == 256 + 2 * 33
+
+    @pytest.mark.parametrize("command", sorted(BUILDERS))
+    def test_fixture_report_matches_its_unencoded_details(self, capsys, command):
+        verdict, details = self.BUILDERS[command](get_fixture("d47").angles)
+        for _ in range(2):
+            code, report, _ = run_json(capsys, command, "fixtures:d47")
+            assert (code, report["verdict"], report["details"]) == (EXIT_OK, verdict, details)
+
+    def test_d47_and_other_angles_keep_their_own_reports(self, capsys, tmp_path):
+        paths = {}
+        for name, turns in (("d47", [0, 1, 2, 3, 4, 5, 6]), ("other", [0, 1, 2, 3, 4, 5, 7])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({"kind": "angles", "eighth_turns": turns}))
+        reports = {}
+        for name in ("other", "d47", "other", "d47"):
+            code, report, _ = run_json(capsys, "orient-tuples", str(paths[name]))
+            assert code == EXIT_OK
+            assert reports.setdefault(name, report) == report
+        assert reports["other"]["verdict"] == "ok"
+        assert set(reports["other"]["details"]) == {"orientation"}
+        assert reports["d47"]["verdict"] == "mixed"
+        assert set(reports["d47"]["details"]) == {"orientation", "reference_comparison"}
+        # both are C4(7) duals, alike in combinatorics, unlike in coordinates
+        coords = [run_json(capsys, "polar", str(paths[name]))[1]["details"]["vertex_coords"]
+                  for name in ("d47", "other")]
+        assert coords[0] != coords[1]
+
+    def test_repeat_polar_makes_no_sqrt2_to_json_calls(self, monkeypatch, capsys):
+        calls = []
+        sqrt2_to_json = cli.sqrt2_to_json
+
+        def counted(x):
+            calls.append(x)
+            return sqrt2_to_json(x)
+
+        monkeypatch.setattr(cli, "sqrt2_to_json", counted)
+        cli._angles_report.cache_clear()
+        first = run(capsys, "polar", "fixtures:d47")
+        # 14 polar vertices of 4 coordinates
+        assert first[0] == EXIT_OK and len(calls) == 56
+        calls.clear()
+        assert run(capsys, "polar", "fixtures:d47") == first
+        assert calls == []
+
+
 class TestComplexInvariantTraffic:
     """A fixture complex computes its ridge map and orientation once per
     process; a failed orientation is computed, and raised, again."""
@@ -823,9 +915,9 @@ class TestComplexInvariantTraffic:
 
         monkeypatch.setattr(qtoric.charmap, "sign_pattern", spy)
         outs = {run(capsys, "signs", "fixtures:barnette") for _ in range(3)}
-        # the complex's ridge map, and the one the coherence check builds of
-        # the orientation's tuples, once since the verdict is kept on it
-        assert len(outs) == 1 and len(seen) == 3 and ridge_maps == [19, 19]
+        # the complex's ridge map only: the coherence check reads it, once,
+        # since the checked table is kept on the orientation
+        assert len(outs) == 1 and len(seen) == 3 and ridge_maps == [19]
         cached = get_fixture("barnette").complex.coherent_orientation
         assert all(orientation is cached for orientation in seen)
 

@@ -14,6 +14,7 @@ from qtoric.cyclic import AngleSpec
 from qtoric.documents import (
     canonical_json,
     fraction_to_json,
+    fragment,
     parse_document,
     serialize_document,
     sqrt2_to_json,
@@ -352,3 +353,36 @@ class TestCanonicalJson:
 
     def test_trailing_newline(self):
         assert canonical_json({}).endswith("\n")
+
+
+def nested(value, rng, depth):
+    """value wrapped in `depth` containers: a dict member or list item
+    beside other members, or a tuple's one item."""
+    for _ in range(depth):
+        pick = rng.randrange(3)
+        if pick == 0:
+            value = {"b": value, "a": 1, "c": [None]}
+        elif pick == 1:
+            value = ["s", value, {}]
+        else:
+            value = (value,)
+    return value
+
+
+class TestFragments:
+    """A Fragment, a value encoded once, is written at any indent as the
+    bytes of the value itself."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nested_fragment_matches_its_value(self, seed):
+        rng = random.Random(2000 + seed)
+        for _ in range(200):
+            # random strings hold raw newlines, which a fragment's shift
+            # to its indent must leave escaped
+            value = random_value(rng)
+            depth = rng.randint(0, 5)
+            state = rng.getstate()
+            plain = nested(value, rng, depth)
+            rng.setstate(state)
+            text = canonical_json(nested(fragment(value), rng, depth))
+            assert text == canonical_json(plain) == json_dumps_oracle(plain), plain

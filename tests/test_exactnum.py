@@ -312,6 +312,22 @@ class TestIntegerEntries:
         with pytest.raises(TypeError):
             is_primitive((bad, 2))
 
+    @pytest.mark.parametrize("vector, primitive", [
+        ((True, 2), True), ((2, False), False), ((False, False, True), True),
+        ((True,), True), ((False,), False), ((-3, 6, -2), True), ((0, -4, 6), False),
+        ((-1,), True), ((), False), ([], False),
+    ], ids=repr)
+    def test_is_primitive_is_gcd_one(self, vector, primitive):
+        # a bool counts as 0 or 1, and no entries have gcd 0, not 1
+        assert is_primitive(vector) is primitive
+
+    @pytest.mark.parametrize("bad", [Fraction(2, 1), 2.0, "2", Fraction(1, 2)], ids=repr)
+    def test_is_primitive_rejects_integral_non_ints(self, bad):
+        # even a whole Fraction or float is refused, alone or among ints
+        for vector in ((bad,), (bad, 3), (1, bad)):
+            with pytest.raises(TypeError):
+                is_primitive(vector)
+
     @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "1"], ids=repr)
     def test_gf2_system_rejects_non_integers(self, bad):
         with pytest.raises(ValidationError, match="must be integers"):
