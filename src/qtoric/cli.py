@@ -32,7 +32,7 @@ from . import charmap as cm_mod
 from . import charsearch, complexes, cyclic, fanchk
 from .charmap import CharacteristicMap
 from .charsearch import GOALS, SearchConfig
-from .complexes import OrientationData, OrientedCells, SimplePolytope, SimplicialComplex
+from .complexes import OrientationData, OrientedCells, SimplePolytope, SimplicialComplex, cell_label
 from .cyclic import AngleSpec, CaratheodoryRealization
 from .documents import (
     Fragment, canonical_json, document_to_obj, fraction_to_json, fragment, parse_document,
@@ -311,7 +311,7 @@ def _cmd_fan_check(ctx: Context, args) -> Result:
     for off in offenders:
         i, j = off["pair"]
         entry: Dict[str, Any] = {
-            "pair": [cm_mod.cell_label(cells[i - 1]), cm_mod.cell_label(cells[j - 1])],
+            "pair": [cell_label(cells[i - 1]), cell_label(cells[j - 1])],
             "reason": off["reason"],
         }
         ray = off.get("witness_ray")
@@ -390,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommands without inputs resolve to an empty Context
     parser.set_defaults(inputs=[])
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's own parser by name, which add_parser enters in the
+    # action's choices; _parse_args reads it
+    parser.commands = sub.choices
 
     def add(name, func, needs_inputs=True):
         p = sub.add_parser(name)
@@ -449,8 +452,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """
     parser = build_parser()
     if argv:
-        # the add_subparsers action: its choices map each command to its parser
-        command_parser = parser._subparsers._group_actions[0].choices.get(argv[0])
+        command_parser = parser.commands.get(argv[0])
         if command_parser is not None:
             args, rest = command_parser.parse_known_args(
                 argv[1:], argparse.Namespace(command=argv[0], inputs=[])

@@ -118,8 +118,7 @@ class SimplicialComplex(CellTable):
         """Propagate a coherent orientation across shared ridges by BFS.
 
         Facet 0 is seeded with its sorted vertex tuple; each facet receives
-        its sorted tuple as-is or with the first two entries swapped (a
-        single vertex has one order and keeps it).  Raises
+        its sorted tuple as-is or `swapped`.  Raises
         NonOrientableError with a conflicting facet pair as certificate.
         """
         if self.offending_ridges:
@@ -148,8 +147,7 @@ class SimplicialComplex(CellTable):
         if len(sign) != len(self.facets):
             raise ValidationError("complex is not connected")
         return OrientationData(tuple(
-            f if sign[idx] > 0 or len(f) < 2 else (f[1], f[0]) + f[2:]
-            for idx, f in enumerate(sorted_facets)
+            f if sign[idx] > 0 else swapped(f) for idx, f in enumerate(sorted_facets)
         ))
 
 
@@ -196,9 +194,8 @@ class OrientationData:
             )
 
     def reversed(self) -> "OrientationData":
-        """The globally reversed orientation (first two entries swapped)."""
-        flipped = tuple((t[1], t[0]) + t[2:] for t in self.tuples)
-        return OrientationData(flipped, not self.reversed_seed)
+        """The globally reversed orientation: each tuple `swapped`."""
+        return OrientationData(tuple(map(swapped, self.tuples)), not self.reversed_seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +238,12 @@ class OrientedCells:
             structure, tuples, tuple(map(cell_label, cells)), masks
         )
         return kept
+
+
+def swapped(t: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The other order of a cell: its first two entries swapped.  A
+    one-label tuple has one order, and is its own."""
+    return (t[1], t[0]) + t[2:] if len(t) > 1 else t
 
 
 def cell_label(cell: Iterable[int]) -> str:

@@ -19,7 +19,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
-    OrientationData, SimplePolytope, SimplicialComplex, cell_label, dualize, permutation_parity
+    OrientationData, SimplePolytope, SimplicialComplex, cell_label, dualize, permutation_parity,
+    swapped
 )
 from .errors import (
     DegeneracyError,
@@ -248,8 +249,7 @@ def build_polar_from_points(
     is column f of -P_F^-1 times a positive diagonal matrix, so the edge
     vectors, in the sorted order of F, have determinant of sign
     (-1)^d det P_F.  The sorted tuple is therefore positively ordered when
-    sign(det P_F) = (-1)^d and is otherwise swapped in its first two
-    entries (in dimension 1 a tuple has only one order and is kept).
+    sign(det P_F) = (-1)^d and is otherwise `swapped`.
     Raises DegeneracyError when a facet holds more than d points (the
     polar is not simple) and NonVertexError when a point lies on no facet.
     When expected_facets is given the geometric facet list must match it.
@@ -283,7 +283,7 @@ def build_polar_from_points(
             for j in range(d)
         ))
         positive = (sign_z2(det) > 0) == (d % 2 == 0)
-        tuples.append(face if positive or d == 1 else (face[1], face[0]) + face[2:])
+        tuples.append(face if positive else swapped(face))
     # dualize keeps the facet order, so coords and tuples align with its vertices
     polytope = dualize(SimplicialComplex.of(len(pts), facets))
     return PolarPolytope(polytope, tuple(coords), pts, OrientationData(tuple(tuples)))

@@ -6,6 +6,12 @@ are 1-based, and Q(sqrt 2) values are serialized as exact fraction pairs
 {"rat": "p/q", "sqrt2": "r/s"} -- never decimals.  Serialization is
 canonical: serializing twice yields byte-identical text.
 
+A document holds its value's dataclass fields under the same names.
+`_KINDS` gives per kind the class, the fields a document must hold and a
+reader for each field it may hold, run in table order, so that of two
+faults the same one is named first; the class then checks the value.
+Encoding writes ``kind`` and each field that is not None.
+
 Canonical JSON is the text of ``json.dumps(obj, sort_keys=True, indent=2)``
 plus a newline, written by a small recursive encoder instead: with
 ``indent`` set, ``json`` falls back to its pure-Python encoder, which is
@@ -21,10 +27,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .charmap import CharacteristicMap
 from .charsearch import GOALS, SearchConfig
@@ -34,12 +40,7 @@ from .errors import ParseError, SchemaError
 from .exactnum import Sqrt2Number
 
 DomainValue = Union[
-    SimplicialComplex,
-    SimplePolytope,
-    CharacteristicMap,
-    OrientationData,
-    AngleSpec,
-    SearchConfig,
+    SimplicialComplex, SimplePolytope, CharacteristicMap, OrientationData, AngleSpec, SearchConfig
 ]
 
 
@@ -47,17 +48,6 @@ DomainValue = Union[
 class Document:
     kind: str
     value: DomainValue
-
-
-def _require_keys(obj: Dict[str, Any], required: Sequence[str],
-                  optional: Sequence[str] = ()) -> None:
-    for key in required:
-        if key not in obj:
-            raise SchemaError(key, "missing required field")
-    allowed = set(required) | set(optional) | {"kind"}
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(key, "unknown field")
 
 
 def _int(obj: Any, field: str) -> int:
@@ -82,6 +72,38 @@ def _int_list_list(obj: Any, field: str) -> List[List[int]]:
     return [_int_list(x, f"{field}[{i}]") for i, x in enumerate(obj)]
 
 
+def _facets(obj: Any, field: str) -> List[List[int]]:
+    facets = _int_list_list(obj, field)
+    for i, f in enumerate(facets):
+        if not f:
+            raise SchemaError(f"{field}[{i}]", "facet must not be empty")
+    return facets
+
+
+def _bool(obj: Any, field: str) -> bool:
+    if not isinstance(obj, bool):
+        raise SchemaError(field, "expected a boolean")
+    return obj
+
+
+def _goal(obj: Any, field: str) -> str:
+    if not isinstance(obj, str) or obj not in GOALS:
+        expected = " or ".join(repr(name) for name in GOALS)
+        raise SchemaError(field, f"expected {expected}, got {obj!r}")
+    return obj
+
+
+def _vectors_of_rank(values: Dict[str, Any]) -> None:
+    rank = values["rank"]
+    for i, v in enumerate(values["vectors"]):
+        if len(v) != rank:
+            raise SchemaError(
+                f"vectors[{i}]",
+                f"vector for label {i + 1} (facet {i + 1} or sphere vertex {i + 1}) "
+                f"has dimension {len(v)}, expected {rank}",
+            )
+
+
 def fraction_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -90,151 +112,47 @@ def sqrt2_to_json(x: Sqrt2Number) -> Dict[str, str]:
     return {"rat": fraction_to_json(x.rat), "sqrt2": fraction_to_json(x.sqrt2)}
 
 
-# -- per-kind encoders/decoders ---------------------------------------------
+class _Kind(NamedTuple):
+    """A document kind.  `readers` has every field a document may hold, in
+    reading order; `check` sees the fields read before the class is built."""
+
+    cls: type
+    required: Tuple[str, ...]
+    readers: Dict[str, Callable[[Any, str], Any]]
+    check: Optional[Callable[[Dict[str, Any]], None]] = None
 
 
-def _decode_simplicial_complex(obj: Dict[str, Any]) -> SimplicialComplex:
-    _require_keys(obj, ["num_vertices", "facets"])
-    facets = _int_list_list(obj["facets"], "facets")
-    for i, f in enumerate(facets):
-        if not f:
-            raise SchemaError(f"facets[{i}]", "facet must not be empty")
-    return SimplicialComplex.of(_int(obj["num_vertices"], "num_vertices"), facets)
-
-
-def _encode_simplicial_complex(k: SimplicialComplex) -> Dict[str, Any]:
-    return {
-        "kind": "simplicial_complex",
-        "num_vertices": k.num_vertices,
-        "facets": [sorted(f) for f in k.facets],
-    }
-
-
-def _decode_simple_polytope(obj: Dict[str, Any]) -> SimplePolytope:
-    _require_keys(obj, ["num_facets", "dimension", "vertices"])
-    return SimplePolytope.of(
-        _int(obj["num_facets"], "num_facets"),
-        _int(obj["dimension"], "dimension"),
-        _int_list_list(obj["vertices"], "vertices"),
-    )
-
-
-def _encode_simple_polytope(p: SimplePolytope) -> Dict[str, Any]:
-    return {
-        "kind": "simple_polytope",
-        "num_facets": p.num_facets,
-        "dimension": p.dimension,
-        "vertices": [sorted(v) for v in p.vertices],
-    }
-
-
-def _decode_charmap(obj: Dict[str, Any]) -> CharacteristicMap:
-    _require_keys(obj, ["rank", "vectors"])
-    rank = _int(obj["rank"], "rank")
-    vectors = _int_list_list(obj["vectors"], "vectors")
-    for i, v in enumerate(vectors):
-        if len(v) != rank:
-            raise SchemaError(
-                f"vectors[{i}]",
-                f"vector for label {i + 1} (facet {i + 1} or sphere vertex {i + 1}) "
-                f"has dimension {len(v)}, expected {rank}",
-            )
-    return CharacteristicMap.of(rank, vectors)
-
-
-def _encode_charmap(cm: CharacteristicMap) -> Dict[str, Any]:
-    return {
-        "kind": "charmap",
-        "rank": cm.rank,
-        "vectors": [list(v) for v in cm.vectors],
-    }
-
-
-def _decode_orientation(obj: Dict[str, Any]) -> OrientationData:
-    _require_keys(obj, ["tuples"], ["reversed_seed"])
-    reversed_seed = obj.get("reversed_seed", False)
-    if not isinstance(reversed_seed, bool):
-        raise SchemaError("reversed_seed", "expected a boolean")
-    return OrientationData(
-        tuple(tuple(t) for t in _int_list_list(obj["tuples"], "tuples")),
-        reversed_seed,
-    )
-
-
-def _encode_orientation(o: OrientationData) -> Dict[str, Any]:
-    return {
-        "kind": "orientation",
-        "tuples": [list(t) for t in o.tuples],
-        "reversed_seed": o.reversed_seed,
-    }
-
-
-def _decode_angles(obj: Dict[str, Any]) -> AngleSpec:
-    _require_keys(obj, ["eighth_turns"])
-    return AngleSpec(tuple(_int_list(obj["eighth_turns"], "eighth_turns")))
-
-
-def _encode_angles(a: AngleSpec) -> Dict[str, Any]:
-    return {"kind": "angles", "eighth_turns": list(a.eighth_turns)}
-
-
-def _decode_search_config(obj: Dict[str, Any]) -> SearchConfig:
-    _require_keys(
-        obj,
-        ["bound", "base_vertex", "goal"],
-        ["order", "solution_cap", "node_budget"],
-    )
-    goal = obj["goal"]
-    if not isinstance(goal, str) or goal not in GOALS:
-        expected = " or ".join(repr(name) for name in GOALS)
-        raise SchemaError("goal", f"expected {expected}, got {goal!r}")
-    kwargs: Dict[str, Any] = {}
-    if "order" in obj:
-        kwargs["order"] = tuple(_int_list(obj["order"], "order"))
-    if "solution_cap" in obj:
-        kwargs["solution_cap"] = _int(obj["solution_cap"], "solution_cap")
-    if "node_budget" in obj:
-        kwargs["node_budget"] = _int(obj["node_budget"], "node_budget")
-    return SearchConfig(
-        bound=_int(obj["bound"], "bound"),
-        base_vertex=tuple(_int_list(obj["base_vertex"], "base_vertex")),
-        goal=goal,
-        **kwargs,
-    )
-
-
-def _encode_search_config(c: SearchConfig) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "kind": "search_config",
-        "bound": c.bound,
-        "base_vertex": list(c.base_vertex),
-        "goal": c.goal,
-        "node_budget": c.node_budget,
-    }
-    if c.order is not None:
-        out["order"] = list(c.order)
-    if c.solution_cap is not None:
-        out["solution_cap"] = c.solution_cap
-    return out
-
-
-_DECODERS = {
-    "simplicial_complex": _decode_simplicial_complex,
-    "simple_polytope": _decode_simple_polytope,
-    "charmap": _decode_charmap,
-    "orientation": _decode_orientation,
-    "angles": _decode_angles,
-    "search_config": _decode_search_config,
+_KINDS: Dict[str, _Kind] = {
+    "simplicial_complex": _Kind(SimplicialComplex, ("num_vertices", "facets"),
+                                {"facets": _facets, "num_vertices": _int}),
+    "simple_polytope": _Kind(SimplePolytope, ("num_facets", "dimension", "vertices"), {
+        "num_facets": _int, "dimension": _int, "vertices": _int_list_list}),
+    "charmap": _Kind(CharacteristicMap, ("rank", "vectors"),
+                     {"rank": _int, "vectors": _int_list_list}, _vectors_of_rank),
+    "orientation": _Kind(OrientationData, ("tuples",),
+                         {"reversed_seed": _bool, "tuples": _int_list_list}),
+    "angles": _Kind(AngleSpec, ("eighth_turns",), {"eighth_turns": _int_list}),
+    "search_config": _Kind(SearchConfig, ("bound", "base_vertex", "goal"), {
+        "goal": _goal, "order": _int_list, "solution_cap": _int, "node_budget": _int,
+        "bound": _int, "base_vertex": _int_list}),
 }
 
-_ENCODERS = {
-    SimplicialComplex: _encode_simplicial_complex,
-    SimplePolytope: _encode_simple_polytope,
-    CharacteristicMap: _encode_charmap,
-    OrientationData: _encode_orientation,
-    AngleSpec: _encode_angles,
-    SearchConfig: _encode_search_config,
-}
+# each class's kind and field names, taken once: dataclasses.fields() on
+# every value would slow the encoding of a search report by almost half
+_FIELDS = {k.cls: (name, tuple(f.name for f in fields(k.cls))) for name, k in _KINDS.items()}
+
+
+def _decode(spec: _Kind, obj: Dict[str, Any]) -> DomainValue:
+    for key in spec.required:
+        if key not in obj:
+            raise SchemaError(key, "missing required field")
+    for key in obj:
+        if key not in spec.readers and key != "kind":
+            raise SchemaError(key, "unknown field")
+    values = {name: read(obj[name], name) for name, read in spec.readers.items() if name in obj}
+    if spec.check is not None:
+        spec.check(values)
+    return spec.cls(**values)
 
 
 def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
@@ -268,17 +186,31 @@ def parse_document(text: str) -> Document:
         raise SchemaError("$", "document must be a JSON object")
     kind = obj.get("kind")
     # a list or an object is unhashable, so test the type before the lookup
-    if not isinstance(kind, str) or kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError("kind", f"unknown document kind {kind!r}")
-    return Document(kind, _DECODERS[kind](obj))
+    return Document(kind, _decode(_KINDS[kind], obj))
 
 
 def document_to_obj(value: DomainValue) -> Dict[str, Any]:
+    """`kind` and each field that is not None: a tuple as a list, and the
+    tuple or frozenset entries of a tuple (its cells) as lists, a frozenset's
+    sorted."""
     try:
-        encoder = _ENCODERS[type(value)]
+        kind, names = _FIELDS[type(value)]
     except KeyError:
         raise SchemaError("kind", f"cannot serialize {type(value).__name__}")
-    return encoder(value)
+    obj: Dict[str, Any] = {"kind": kind}
+    for name in names:
+        field_value = getattr(value, name)
+        if type(field_value) is tuple:
+            # a field's tuple holds entries of one type
+            entry = type(field_value[0]) if field_value else int
+            obj[name] = ([sorted(c) for c in field_value] if entry is frozenset
+                         else [list(t) for t in field_value] if entry is tuple
+                         else list(field_value))
+        elif field_value is not None:
+            obj[name] = field_value
+    return obj
 
 
 def serialize_document(value: DomainValue) -> str:

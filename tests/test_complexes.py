@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from qtoric.complexes import (
+    OrientationData,
     SimplicialComplex,
     SimplePolytope,
     coherent_orientation,
@@ -177,6 +178,12 @@ class TestOrientation:
     def test_zero_sphere_keeps_its_one_label_tuples(self):
         k = SimplicialComplex.of(2, [(1,), (2,)])
         assert coherent_orientation(k).tuples == ((1,), (2,))
+
+    def test_zero_sphere_reverses_to_its_own_tuples(self):
+        # a one-label tuple has one order, which reversal keeps
+        reversed_ = coherent_orientation(SimplicialComplex.of(2, [(1,), (2,)])).reversed()
+        assert reversed_ == OrientationData(((1,), (2,)), reversed_seed=True)
+        assert reversed_.reversed() == OrientationData(((1,), (2,)))
 
     def test_rp2_non_orientable(self):
         with pytest.raises(NonOrientableError) as err:

@@ -4,24 +4,28 @@ import json
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from qtoric.charmap import CharacteristicMap
-from qtoric.charsearch import SearchConfig
+from qtoric.charsearch import GOALS, SearchConfig, search
 from qtoric.complexes import OrientationData, SimplePolytope, SimplicialComplex
 from qtoric.cyclic import AngleSpec
 from qtoric.documents import (
     canonical_json,
+    document_to_obj,
     fraction_to_json,
     fragment,
     parse_document,
     serialize_document,
     sqrt2_to_json,
 )
-from qtoric.errors import ParseError, SchemaError, ValidationError
+from qtoric.errors import ParseError, QtoricError, SchemaError, ValidationError
 from qtoric.exactnum import Sqrt2Number
-from qtoric.fixtures import get_fixture
+from qtoric.fixtures import FIXTURE_NAMES, d47_orientation, d47_polar, get_fixture
+
+import codec_oracle
 
 
 SAMPLE_VALUES = [
@@ -386,3 +390,159 @@ class TestFragments:
             rng.setstate(state)
             text = canonical_json(nested(fragment(value), rng, depth))
             assert text == canonical_json(plain) == json_dumps_oracle(plain), plain
+
+
+# per kind: a valid document body, and per field the values that fail its
+# reader (the first is the one each two-fault document uses)
+VALID_BODIES = {
+    "simplicial_complex": {"num_vertices": 4,
+                           "facets": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]},
+    "simple_polytope": {"num_facets": 3, "dimension": 2, "vertices": [[1, 2], [2, 3], [1, 3]]},
+    "charmap": {"rank": 2, "vectors": [[1, 0], [0, 1], [-1, -1]]},
+    "orientation": {"tuples": [[1, 2], [2, 3], [3, 1]], "reversed_seed": True},
+    "angles": {"eighth_turns": [0, 1, 2, 3, 4, 5, 6]},
+    "search_config": {"bound": 1, "base_vertex": [2, 1, 3, 7], "goal": "unimodular",
+                      "order": [4, 5, 6], "solution_cap": 3, "node_budget": 100},
+}
+REQUIRED = {
+    "simplicial_complex": ("num_vertices", "facets"),
+    "simple_polytope": ("num_facets", "dimension", "vertices"),
+    "charmap": ("rank", "vectors"),
+    "orientation": ("tuples",),
+    "angles": ("eighth_turns",),
+    "search_config": ("bound", "base_vertex", "goal"),
+}
+BAD_INT = ["2", True, 1.5, None, [1]]
+BAD_INT_LIST = [3, "1", None, {"k": 1}, [1, True], [1, 1.5], ["x"]]
+BAD_INT_LIST_LIST = [[], 3, [3], [[1, "x"]], [[1], [True]], [[1], None]]
+BAD_FIELDS = {
+    "simplicial_complex": {"facets": BAD_INT_LIST_LIST + [[[]], [[1, 2], []]],
+                           "num_vertices": BAD_INT},
+    "simple_polytope": {"num_facets": BAD_INT, "dimension": BAD_INT,
+                        "vertices": BAD_INT_LIST_LIST},
+    # the first bad vectors hold a rank fault before a type fault, and the
+    # type fault is named: every entry is read before the ranks are compared
+    "charmap": {"rank": BAD_INT,
+                "vectors": [[[1, 0, 0], [0, "x"]], [[1, 0], [0, 1, 0]]] + BAD_INT_LIST_LIST},
+    "orientation": {"reversed_seed": [1, 0, "true", None], "tuples": BAD_INT_LIST_LIST},
+    "angles": {"eighth_turns": BAD_INT_LIST},
+    "search_config": {"goal": ["sideways", "all-positive", 1, None, ["unimodular"]],
+                      "order": BAD_INT_LIST, "solution_cap": BAD_INT,
+                      "node_budget": BAD_INT, "bound": BAD_INT, "base_vertex": BAD_INT_LIST},
+}
+# documents that pass every reader and that the value's class refuses
+REFUSED = [
+    {"kind": "simplicial_complex", "num_vertices": 5, "facets": [[1, 2], [2, 3]]},
+    {"kind": "simplicial_complex", "num_vertices": 0, "facets": [[1, 2]]},
+    {"kind": "simple_polytope", "num_facets": 3, "dimension": 3, "vertices": [[1, 2], [2, 3]]},
+    {"kind": "charmap", "rank": 2, "vectors": [[2, 0], [0, 1]]},
+    {"kind": "angles", "eighth_turns": [0, 9]},
+    {"kind": "angles", "eighth_turns": [3, 1]},
+    {"kind": "search_config", "bound": 0, "base_vertex": [1], "goal": "unimodular"},
+    {"kind": "search_config", "bound": 1, "base_vertex": [1], "goal": "unimodular",
+     "solution_cap": 0},
+    {"kind": "search_config", "bound": 1, "base_vertex": [1], "goal": "unimodular",
+     "node_budget": -1},
+]
+
+
+def malformed_corpus():
+    """(document, faults): each reader fault of each kind, each pair of
+    faulty fields, each missing required field and pair of them, an unknown
+    field, and documents the value's class refuses (no fault of a reader)."""
+    corpus = []
+    for kind, body in VALID_BODIES.items():
+        valid = {"kind": kind, **body}
+        bad = BAD_FIELDS[kind]
+        assert set(bad) == set(body)
+        for name, values in bad.items():
+            corpus += [({**valid, name: value}, 1) for value in values]
+        for a, b in combinations(bad, 2):
+            corpus.append(({**valid, a: bad[a][0], b: bad[b][0]}, 2))
+        for size in (1, 2):
+            for names in combinations(REQUIRED[kind], size):
+                corpus.append(({k: v for k, v in valid.items() if k not in names}, size))
+        corpus.append(({**valid, "extra": 1}, 1))
+    return corpus + [(doc, 0) for doc in REFUSED]
+
+
+def decode_outcome(decode, text):
+    try:
+        value = decode(text)
+    except QtoricError as exc:
+        return type(exc), getattr(exc, "field", None), str(exc)
+    return "ok", value
+
+
+def encodable_values():
+    values = list(SAMPLE_VALUES) + list(BOOL_VALUES)
+    for name in FIXTURE_NAMES:
+        fx = get_fixture(name)
+        values += [v for v in (fx.complex, fx.polytope, fx.orientation, fx.charmap) if v is not None]
+        if fx.angles is not None:
+            values.append(AngleSpec(fx.angles))
+    polar = d47_polar()
+    values += [polar.polytope, polar.orientation, polar.orientation.reversed()]
+    return values
+
+
+def random_search_config(rng):
+    optional = {}
+    if rng.random() < 0.5:
+        optional["order"] = tuple(rng.sample(range(1, 20), rng.randint(0, 6)))
+    if rng.random() < 0.5:
+        optional["solution_cap"] = rng.randint(1, 10**6)
+    if rng.random() < 0.5:
+        optional["node_budget"] = rng.randint(0, 10**12)
+    return SearchConfig(
+        base_vertex=tuple(rng.sample(range(1, 20), rng.randint(1, 5))),
+        bound=rng.randint(1, 5), goal=rng.choice(sorted(GOALS)), **optional,
+    )
+
+
+class TestPerKindCodecOracle:
+    """The schema table decodes and encodes as the six per-kind codecs of
+    `codec_oracle` do: the same values, bytes and first fault."""
+
+    def assert_same_encoding(self, values):
+        for value in values:
+            obj = document_to_obj(value)
+            assert obj == codec_oracle.encode(value), value
+            text = serialize_document(value)
+            assert text == canonical_json(codec_oracle.encode(value))
+            assert parse_document(text).value == codec_oracle.decode(json.loads(text)) == value
+
+    def test_fixture_and_sample_values(self):
+        self.assert_same_encoding(encodable_values())
+
+    def test_d47_unimodular_bound_one_solutions(self):
+        config = SearchConfig(bound=1, base_vertex=(2, 1, 3, 7), goal="unimodular")
+        solutions = search(d47_polar().polytope, d47_orientation(), config).solutions
+        assert len(solutions) == 640
+        self.assert_same_encoding([config] + list(solutions))
+
+    def test_seeded_search_configs(self):
+        rng = random.Random(23)
+        configs = [random_search_config(rng) for _ in range(300)]
+        for name in ("order", "solution_cap"):
+            assert {getattr(c, name) is None for c in configs} == {True, False}
+        self.assert_same_encoding(configs)
+
+    def test_malformed_corpus_names_the_same_first_fault(self):
+        corpus = malformed_corpus()
+        for doc, faults in corpus:
+            text = json.dumps(doc)
+            ours = decode_outcome(lambda t: parse_document(t).value, text)
+            assert ours == decode_outcome(lambda t: codec_oracle.decode(json.loads(t)), text), text
+            assert ours[0] != "ok" and (ours[0] is SchemaError) == bool(faults), text
+        two_fault_fields = {parse_fault(doc) for doc, faults in corpus if faults == 2}
+        # of each two faults the one read first is named: every field but
+        # the last that its kind reads
+        assert {"facets", "reversed_seed", "goal", "order", "solution_cap", "node_budget",
+                "bound", "rank", "num_facets", "dimension"} <= two_fault_fields
+
+
+def parse_fault(doc):
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(doc))
+    return err.value.field
