@@ -8,31 +8,29 @@ vector carriers, together with a positively ordered tuple per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from .complexes import CellTable, OrientationData, OrientedCells, cell_label
 from .errors import CoverageError, UnimodularityError, ValidationError
 from .exactnum import Gf2System, as_int, as_ints, bareiss_det, det_int, is_primitive
+from .values import Value
 
 SignPattern = Tuple[int, ...]
 FlipVector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CharacteristicMap:
+class CharacteristicMap(Value):
     """Primitive integer n-vectors indexed by facet (or sphere-vertex) label.
 
     vectors[i-1] is the vector attached to label i.
     """
 
-    rank: int
-    vectors: Tuple[Tuple[int, ...], ...]
+    _fields = ("rank", "vectors")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, vectors: Tuple[Tuple[int, ...], ...]):
         # the one place entries become ints, so a bool is kept as 0 or 1
-        rank = as_int(self.rank, "rank")
-        vectors = tuple(as_ints(v, "vector entries") for v in self.vectors)
+        rank = as_int(rank, "rank")
+        vectors = tuple(as_ints(v, "vector entries") for v in vectors)
         for i, v in enumerate(vectors, start=1):
             if len(v) != rank:
                 raise ValidationError(
@@ -40,8 +38,7 @@ class CharacteristicMap:
                 )
             if not is_primitive(v):
                 raise ValidationError(f"vector {i} = {v} is not primitive")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "vectors", vectors)
+        self.__dict__.update(rank=rank, vectors=vectors)
 
     @classmethod
     def of(cls, rank: int, vectors: Iterable[Sequence[int]]):

@@ -12,7 +12,6 @@ outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,61 +19,64 @@ from .charmap import CharacteristicMap
 from .complexes import CellTable, OrientationData, OrientedCells, permutation_parity
 from .errors import NormalizationError, ValidationError
 from .exactnum import adjugate, as_int, as_ints, bareiss_det, is_primitive
+from .values import Record, Value
 
 # goal -> the determinants it accepts at every cell, columns in positive order
 GOALS: Dict[str, Tuple[int, ...]] = {"unimodular": (1, -1), "all_positive": (1,)}
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Value):
     """Bounded-entry search specification.
 
     base_vertex is an ordered carrier tuple naming one cell; its vectors are
     pinned to e_1..e_n in that order.  goal is a key of GOALS.
     """
 
-    base_vertex: Tuple[int, ...]
-    bound: int = 1
-    goal: str = "unimodular"
-    order: Optional[Tuple[int, ...]] = None
-    solution_cap: Optional[int] = None
-    node_budget: int = 10**9
+    _fields = ("base_vertex", "bound", "goal", "order", "solution_cap", "node_budget")
 
-    def __post_init__(self):
+    def __init__(self, base_vertex: Tuple[int, ...], bound: int = 1, goal: str = "unimodular",
+                 order: Optional[Tuple[int, ...]] = None, solution_cap: Optional[int] = None,
+                 node_budget: int = 10**9):
         # the one place numbers become ints, so a bool is kept as 0 or 1
-        object.__setattr__(self, "base_vertex", as_ints(self.base_vertex, "base_vertex"))
-        object.__setattr__(self, "bound", as_int(self.bound, "bound"))
-        if self.order is not None:
-            object.__setattr__(self, "order", as_ints(self.order, "order"))
-        if self.solution_cap is not None:
-            object.__setattr__(self, "solution_cap", as_int(self.solution_cap, "solution_cap"))
-        object.__setattr__(self, "node_budget", as_int(self.node_budget, "node_budget"))
-        if self.bound < 1:
+        base_vertex = as_ints(base_vertex, "base_vertex")
+        bound = as_int(bound, "bound")
+        if order is not None:
+            order = as_ints(order, "order")
+        if solution_cap is not None:
+            solution_cap = as_int(solution_cap, "solution_cap")
+        node_budget = as_int(node_budget, "node_budget")
+        if bound < 1:
             raise ValidationError("entry bound must be >= 1")
-        if self.goal not in GOALS:
-            raise ValidationError(f"unknown goal {self.goal!r}")
-        if self.solution_cap is not None and self.solution_cap < 1:
-            raise ValidationError(f"solution cap must be >= 1, not {self.solution_cap}")
-        if self.node_budget < 0:
-            raise ValidationError(f"node budget must be >= 0, not {self.node_budget}")
+        if goal not in GOALS:
+            raise ValidationError(f"unknown goal {goal!r}")
+        if solution_cap is not None and solution_cap < 1:
+            raise ValidationError(f"solution cap must be >= 1, not {solution_cap}")
+        if node_budget < 0:
+            raise ValidationError(f"node budget must be >= 0, not {node_budget}")
+        self.__dict__.update(base_vertex=base_vertex, bound=bound, goal=goal, order=order,
+                             solution_cap=solution_cap, node_budget=node_budget)
 
 
-@dataclass(frozen=True)
-class SearchPlan:
+class SearchPlan(Value):
     """What the search loop reads, validated by plan_search: order[k] is the
     carrier assigned at depth k, and completed[k] holds the positively
     ordered tuples of the cells that assigning it completes."""
 
-    order: Tuple[int, ...]
-    completed: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    accepted: Tuple[int, ...]
+    _fields = ("order", "completed", "accepted")
+
+    def __init__(self, order: Tuple[int, ...], completed: Tuple[Tuple[Tuple[int, ...], ...], ...],
+                 accepted: Tuple[int, ...]):
+        self.__dict__.update(order=order, completed=completed, accepted=accepted)
 
 
-@dataclass
-class SearchResult:
-    solutions: List[CharacteristicMap] = field(default_factory=list)
-    nodes: int = 0
-    exhaustive: bool = True
+class SearchResult(Record):
+    _fields = ("solutions", "nodes", "exhaustive")
+
+    def __init__(self, solutions: Optional[List[CharacteristicMap]] = None, nodes: int = 0,
+                 exhaustive: bool = True):
+        self.solutions = [] if solutions is None else solutions
+        self.nodes = nodes
+        self.exhaustive = exhaustive
 
 
 def normalize_map(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +42,7 @@ from .exactnum import gf2_solve
 from .fixtures import (
     D47_ANGLES, D47_REFERENCE_TUPLES, FIXTURE_NAMES, Fixture, get_fixture
 )
+from .values import Record
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,17 +52,25 @@ EXIT_INPUT_ERROR = 2
 Result = Tuple[Any, Any, int]
 
 
-@dataclass
-class Context:
+class Context(Record):
     """Everything a subcommand may need, resolved from inputs."""
 
-    complex: Optional[SimplicialComplex] = None
-    polytope: Optional[SimplePolytope] = None
-    orientation: Optional[OrientationData] = None
-    charmap: Optional[CharacteristicMap] = None
-    angles: Optional[AngleSpec] = None
-    search_config: Optional[SearchConfig] = None
-    provenance: List[str] = field(default_factory=list)
+    _fields = ("complex", "polytope", "orientation", "charmap", "angles", "search_config",
+               "provenance")
+
+    def __init__(self, complex: Optional[SimplicialComplex] = None,
+                 polytope: Optional[SimplePolytope] = None,
+                 orientation: Optional[OrientationData] = None,
+                 charmap: Optional[CharacteristicMap] = None, angles: Optional[AngleSpec] = None,
+                 search_config: Optional[SearchConfig] = None,
+                 provenance: Optional[List[str]] = None):
+        self.complex = complex
+        self.polytope = polytope
+        self.orientation = orientation
+        self.charmap = charmap
+        self.angles = angles
+        self.search_config = search_config
+        self.provenance = [] if provenance is None else provenance
 
 
 # the Context field a document of each kind fills
@@ -424,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", _cmd_search)
     # these four default to None so that a search_config document can refuse
     # them; the help shows SearchConfig's defaults, which _search_config fills in
-    default = {f.name: f.default for f in fields(SearchConfig)}
+    defaults = SearchConfig.__init__.__defaults__
+    default = dict(zip(SearchConfig._fields[-len(defaults):], defaults))
     p.add_argument("--bound", type=_integer, help=f"entry bound B (default {default['bound']})")
     p.add_argument(
         "--goal",

@@ -16,7 +16,6 @@ and raises again.  An orientation keeps, the same way, its checked
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -25,6 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from .errors import IncoherentOrientationError, NonOrientableError, ValidationError
 from .exactnum import as_int, as_ints
+from .values import Value
 
 FVector = Tuple[int, ...]
 Cells = Tuple[FrozenSet[int], ...]
@@ -70,21 +70,18 @@ def _checked_cells(raw: Iterable[Iterable[int]], num_carriers: int, size: Option
     return tuple(cells)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex(CellTable):
+class SimplicialComplex(CellTable, Value):
     """A pure simplicial complex given by its facet list."""
 
-    num_vertices: int
-    facets: Cells
+    _fields = ("num_vertices", "facets")
 
-    def __post_init__(self):
+    def __init__(self, num_vertices: int, facets: Cells):
         # the one place labels become ints, so a bool is kept as 0 or 1
-        object.__setattr__(self, "num_vertices", as_int(self.num_vertices, "num_vertices"))
-        if self.num_vertices < 1:
+        num_vertices = as_int(num_vertices, "num_vertices")
+        if num_vertices < 1:
             raise ValidationError("complex needs at least one vertex")
-        object.__setattr__(self, "facets", _checked_cells(
-            self.facets, self.num_vertices, None, "facet", "vertex", "vertices"
-        ))
+        facets = _checked_cells(facets, num_vertices, None, "facet", "vertex", "vertices")
+        self.__dict__.update(num_vertices=num_vertices, facets=facets)
 
     @classmethod
     def of(cls, num_vertices: int, facets: Iterable[Iterable[int]]):
@@ -151,21 +148,17 @@ class SimplicialComplex(CellTable):
         ))
 
 
-@dataclass(frozen=True)
-class SimplePolytope(CellTable):
+class SimplePolytope(CellTable, Value):
     """Combinatorics of a simple polytope: vertices as facet-index sets."""
 
-    num_facets: int
-    dimension: int
-    vertices: Cells
+    _fields = ("num_facets", "dimension", "vertices")
 
-    def __post_init__(self):
+    def __init__(self, num_facets: int, dimension: int, vertices: Cells):
         # the one place labels become ints, so a bool is kept as 0 or 1
-        object.__setattr__(self, "num_facets", as_int(self.num_facets, "num_facets"))
-        object.__setattr__(self, "dimension", as_int(self.dimension, "dimension"))
-        object.__setattr__(self, "vertices", _checked_cells(
-            self.vertices, self.num_facets, self.dimension, "vertex", "facet", "facets"
-        ))
+        num_facets = as_int(num_facets, "num_facets")
+        dimension = as_int(dimension, "dimension")
+        vertices = _checked_cells(vertices, num_facets, dimension, "vertex", "facet", "facets")
+        self.__dict__.update(num_facets=num_facets, dimension=dimension, vertices=vertices)
 
     @classmethod
     def of(cls, num_facets: int, dimension: int, vertices: Iterable[Iterable[int]]):
@@ -175,40 +168,37 @@ class SimplePolytope(CellTable):
     num_carriers = property(lambda self: self.num_facets)
 
 
-@dataclass(frozen=True)
-class OrientationData:
+class OrientationData(Value):
     """Ordered incidence tuples: per-vertex facet tuples for a simple
     polytope, or per-facet vertex tuples for a simplicial sphere."""
 
-    tuples: Tuple[Tuple[int, ...], ...]
-    reversed_seed: bool = False
+    _fields = ("tuples", "reversed_seed")
 
-    def __post_init__(self):
+    def __init__(self, tuples: Tuple[Tuple[int, ...], ...], reversed_seed: bool = False):
         # the one place labels become ints, so a bool is kept as 0 or 1
-        object.__setattr__(self, "tuples", tuple(
-            as_ints(t, "orientation labels") for t in self.tuples
-        ))
-        if not isinstance(self.reversed_seed, bool):
-            raise ValidationError(
-                f"reversed_seed must be a bool, got {self.reversed_seed!r}"
-            )
+        tuples = tuple(as_ints(t, "orientation labels") for t in tuples)
+        if not isinstance(reversed_seed, bool):
+            raise ValidationError(f"reversed_seed must be a bool, got {reversed_seed!r}")
+        self.__dict__.update(tuples=tuples, reversed_seed=reversed_seed)
 
     def reversed(self) -> "OrientationData":
         """The globally reversed orientation: each tuple `swapped`."""
         return OrientationData(tuple(map(swapped, self.tuples)), not self.reversed_seed)
 
 
-@dataclass(frozen=True, eq=False)
-class OrientedCells:
+class OrientedCells(Value):
     """Per cell of a structure: its tuple of a checked orientation, its
     label (sorted carriers run together) and its carrier bitmask (carrier i
     at bit i - 1).  The check: each tuple orders its cell, in cell order,
     and on each ridge the two cells induce opposite orientations."""
 
-    structure: CellTable
-    tuples: Tuple[Tuple[int, ...], ...]
-    labels: Tuple[str, ...]
-    masks: Tuple[int, ...]
+    _fields = ("structure", "tuples", "labels", "masks")
+    # equal only to itself: the table is kept for one structure object
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, structure: CellTable, tuples: Tuple[Tuple[int, ...], ...],
+                 labels: Tuple[str, ...], masks: Tuple[int, ...]):
+        self.__dict__.update(structure=structure, tuples=tuples, labels=labels, masks=masks)
 
     @classmethod
     def of(cls, structure: CellTable, orientation: OrientationData) -> "OrientedCells":
@@ -233,7 +223,8 @@ class OrientedCells:
                               == _induced(cells[b], parities[b], ridge)):
                     raise IncoherentOrientationError(tuples[a], tuples[b], ridge)
         masks = tuple(sum(1 << (i - 1) for i in cell) for cell in cells)
-        # kept past the frozen dataclass, as functools.cached_property does
+        # written into the frozen orientation's __dict__, as
+        # functools.cached_property writes a computed attribute
         kept = orientation.__dict__["_cells"] = cls(
             structure, tuples, tuple(map(cell_label, cells)), masks
         )

@@ -13,10 +13,9 @@ vertices, which stay Fraction for rational point sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeAlias
 
 from .complexes import (
     OrientationData, SimplePolytope, SimplicialComplex, cell_label, dualize, permutation_parity,
@@ -43,6 +42,7 @@ from .exactnum import (
     divide_z2,
     sign_z2,
 )
+from .values import Value
 
 # cos and sin at k*pi/4 for k = 0..7
 _COS = {
@@ -66,25 +66,25 @@ _SIN = {
     7: -SQRT2_HALF_ROOT,
 }
 
-Vector = Tuple[Sqrt2Number, ...]
+# a string, so that typing caches no subscript holding this import's class
+Vector: TypeAlias = "Tuple[Sqrt2Number, ...]"
 
 
-@dataclass(frozen=True)
-class AngleSpec:
+class AngleSpec(Value):
     """Distinct, strictly increasing angles k*pi/4 with 0 <= k < 8."""
 
-    eighth_turns: Tuple[int, ...]
+    _fields = ("eighth_turns",)
 
-    def __post_init__(self):
+    def __init__(self, eighth_turns: Tuple[int, ...]):
         # the one place angles become ints, so a bool is kept as 0 or 1
-        ks = as_ints(self.eighth_turns, "angles")
-        object.__setattr__(self, "eighth_turns", ks)
+        ks = as_ints(eighth_turns, "angles")
         if any(not 0 <= k < 8 for k in ks):
             raise FieldCoverageError(
                 f"angles must be integer multiples k*pi/4 with 0 <= k < 8, got {ks}"
             )
         if any(a >= b for a, b in zip(ks, ks[1:])):
             raise ValidationError(f"angles must be strictly increasing, got {ks}")
+        self.__dict__["eighth_turns"] = ks
 
     def __len__(self) -> int:
         return len(self.eighth_turns)
@@ -99,12 +99,13 @@ def caratheodory_point(eighth_turn: int) -> Vector:
     return (_COS[k], _SIN[k], _COS[k2], _SIN[k2])
 
 
-@dataclass(frozen=True)
-class CaratheodoryRealization:
+class CaratheodoryRealization(Value):
     """Curve points at the given angles; vertex i is points[i-1]."""
 
-    angles: AngleSpec
-    points: Tuple[Vector, ...]
+    _fields = ("angles", "points")
+
+    def __init__(self, angles: AngleSpec, points: Tuple[Vector, ...]):
+        self.__dict__.update(angles=angles, points=points)
 
     @classmethod
     def of(cls, eighth_turns: Sequence[int]) -> "CaratheodoryRealization":
@@ -220,8 +221,7 @@ def contains_origin_interior(r_or_points) -> bool:
     return _hull(_lifted(points)[0])[1] is not None
 
 
-@dataclass(frozen=True)
-class PolarPolytope:
+class PolarPolytope(Value):
     """The polar dual: combinatorics, exact vertex coordinates, orientation.
 
     Facet i of the polar corresponds to primal point i; its supporting
@@ -230,10 +230,12 @@ class PolarPolytope:
     polytope.vertices.
     """
 
-    polytope: SimplePolytope
-    vertex_coords: Tuple[Vector, ...]
-    facet_points: Tuple[Vector, ...]
-    orientation: OrientationData
+    _fields = ("polytope", "vertex_coords", "facet_points", "orientation")
+
+    def __init__(self, polytope: SimplePolytope, vertex_coords: Tuple[Vector, ...],
+                 facet_points: Tuple[Vector, ...], orientation: OrientationData):
+        self.__dict__.update(polytope=polytope, vertex_coords=vertex_coords,
+                             facet_points=facet_points, orientation=orientation)
 
 
 def build_polar_from_points(
@@ -309,8 +311,7 @@ def polar_of_angles(eighth_turns: Tuple[int, ...]) -> PolarPolytope:
     return build_polar(CaratheodoryRealization.of(eighth_turns))
 
 
-@dataclass(frozen=True)
-class OrientationComparison:
+class OrientationComparison(Value):
     """Outcome of comparing tuple families up to even permutation per tuple.
 
     case is "same" (every computed tuple an even permutation of its
@@ -319,8 +320,10 @@ class OrientationComparison:
     parities maps each vertex label to +1/-1.
     """
 
-    case: str
-    parities: Tuple[Tuple[str, int], ...]
+    _fields = ("case", "parities")
+
+    def __init__(self, case: str, parities: Tuple[Tuple[str, int], ...]):
+        self.__dict__.update(case=case, parities=parities)
 
     def minority(self) -> List[str]:
         """Labels carrying the minority parity (empty unless mixed)."""

@@ -6,11 +6,11 @@ are 1-based, and Q(sqrt 2) values are serialized as exact fraction pairs
 {"rat": "p/q", "sqrt2": "r/s"} -- never decimals.  Serialization is
 canonical: serializing twice yields byte-identical text.
 
-A document holds its value's dataclass fields under the same names.
-`_KINDS` gives per kind the class, the fields a document must hold and a
-reader for each field it may hold, run in table order, so that of two
-faults the same one is named first; the class then checks the value.
-Encoding writes ``kind`` and each field that is not None.
+A document holds the fields its value's class names in ``_fields``, under
+the same names.  `_KINDS` gives per kind the class, the fields a document
+must hold and a reader for each field it may hold, run in table order, so
+that of two faults the same one is named first; the class then checks the
+value.  Encoding writes ``kind`` and each field that is not None.
 
 Canonical JSON is the text of ``json.dumps(obj, sort_keys=True, indent=2)``
 plus a newline, written by a small recursive encoder instead: with
@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, TypeAlias, Union
 
 from .charmap import CharacteristicMap
 from .charsearch import GOALS, SearchConfig
@@ -38,16 +37,20 @@ from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .cyclic import AngleSpec
 from .errors import ParseError, SchemaError
 from .exactnum import Sqrt2Number
+from .values import Value
 
-DomainValue = Union[
-    SimplicialComplex, SimplePolytope, CharacteristicMap, OrientationData, AngleSpec, SearchConfig
-]
+# a string, so that typing caches no subscript holding this import's classes
+DomainValue: TypeAlias = (
+    "Union[SimplicialComplex, SimplePolytope, CharacteristicMap, OrientationData, AngleSpec, "
+    "SearchConfig]"
+)
 
 
-@dataclass(frozen=True)
-class Document:
-    kind: str
-    value: DomainValue
+class Document(Value):
+    _fields = ("kind", "value")
+
+    def __init__(self, kind: str, value: DomainValue):
+        self.__dict__.update(kind=kind, value=value)
 
 
 def _int(obj: Any, field: str) -> int:
@@ -137,9 +140,9 @@ _KINDS: Dict[str, _Kind] = {
         "bound": _int, "base_vertex": _int_list}),
 }
 
-# each class's kind and field names, taken once: dataclasses.fields() on
-# every value would slow the encoding of a search report by almost half
-_FIELDS = {k.cls: (name, tuple(f.name for f in fields(k.cls))) for name, k in _KINDS.items()}
+# each class's kind and field names, by class, so that encoding a value
+# takes both in one lookup
+_FIELDS = {k.cls: (name, k.cls._fields) for name, k in _KINDS.items()}
 
 
 def _decode(spec: _Kind, obj: Dict[str, Any]) -> DomainValue:

@@ -15,7 +15,6 @@ floating point is used anywhere in a decision path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -23,6 +22,7 @@ from operator import getitem, index
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, ValidationError
+from .values import Value
 
 Rationalish = Union[int, Fraction]
 
@@ -40,12 +40,13 @@ def _frac(x: Rationalish) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sqrt2Number:
+class Sqrt2Number(Value):
     """An element a + b*sqrt(2) of Q(sqrt 2) with exact rational a, b."""
 
-    rat: Fraction = Fraction(0)
-    sqrt2: Fraction = Fraction(0)
+    _fields = ("rat", "sqrt2")
+
+    def __init__(self, rat: Fraction = Fraction(0), sqrt2: Fraction = Fraction(0)):
+        self.__dict__.update(rat=rat, sqrt2=sqrt2)
 
     @staticmethod
     def of(rat: Rationalish = 0, sqrt2: Rationalish = 0) -> "Sqrt2Number":
@@ -351,8 +352,7 @@ def divide_z2(num: Z2, den: Z2, sqrt2: bool):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gf2System:
+class Gf2System(Value):
     """Linear system over GF(2); variables are labeled 1..num_vars.
 
     Each row is (mask, rhs): the variables whose bits are set in `mask`
@@ -360,8 +360,10 @@ class Gf2System:
     rows from (support, rhs) equations and checks them.
     """
 
-    num_vars: int
-    rows: Tuple[Tuple[int, int], ...]
+    _fields = ("num_vars", "rows")
+
+    def __init__(self, num_vars: int, rows: Tuple[Tuple[int, int], ...]):
+        self.__dict__.update(num_vars=num_vars, rows=rows)
 
     @classmethod
     def of(cls, num_vars: int, equations: Iterable[Tuple[Iterable[int], int]]):
@@ -387,17 +389,18 @@ class Gf2System:
         return tuple((frozenset(v for v in labels if m >> (v - 1) & 1), r) for m, r in self.rows)
 
 
-@dataclass(frozen=True)
-class Gf2Result:
+class Gf2Result(Value):
     """Either a solution (with solution-space dimension) or a certificate.
 
     The certificate is a set of 1-based equation indices whose GF(2) sum is
     the inconsistent equation 0 = 1.
     """
 
-    solution: Optional[Tuple[int, ...]]
-    dimension: Optional[int]
-    certificate: Optional[Tuple[int, ...]]
+    _fields = ("solution", "dimension", "certificate")
+
+    def __init__(self, solution: Optional[Tuple[int, ...]], dimension: Optional[int],
+                 certificate: Optional[Tuple[int, ...]]):
+        self.__dict__.update(solution=solution, dimension=dimension, certificate=certificate)
 
     @property
     def feasible(self) -> bool:

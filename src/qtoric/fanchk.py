@@ -10,7 +10,6 @@ A x = B y with x, y > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import index
@@ -20,32 +19,32 @@ from .charmap import CharacteristicMap, _check_coverage
 from .complexes import CellTable
 from .errors import ConeDegeneracyError, ValidationError
 from .exactnum import adjugate, as_ints, strict_feasibility
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SimplicialCone:
+class SimplicialCone(Value):
     """A full-dimensional simplicial cone; generators are the columns.
 
     normals is S = sgn(det G) adj(G) for the generator matrix G: row r is
     the inner normal of the facet opposite generator r, positive on that
     generator and zero on the rest.  multiplicity is |det G|, so that
-    G^-1 = S / multiplicity.
+    G^-1 = S / multiplicity.  The cone is compared and printed by its
+    generators only.
     """
 
-    generators: Tuple[Tuple[int, ...], ...]
-    normals: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    multiplicity: int = field(init=False, repr=False, compare=False)
+    _fields = ("generators",)
 
-    def __post_init__(self):
-        n = len(self.generators)
-        if any(len(g) != n for g in self.generators):
+    def __init__(self, generators: Tuple[Tuple[int, ...], ...]):
+        n = len(generators)
+        if any(len(g) != n for g in generators):
             raise ValidationError("cone generators must be n vectors in Z^n")
+        self.__dict__["generators"] = generators
         adj, det = adjugate(self.matrix_rows())
         if det == 0:
-            raise ConeDegeneracyError(f"generators {self.generators} are linearly dependent")
+            raise ConeDegeneracyError(f"generators {generators} are linearly dependent")
         sign = 1 if det > 0 else -1
-        object.__setattr__(self, "normals", tuple(tuple(sign * x for x in r) for r in adj))
-        object.__setattr__(self, "multiplicity", abs(det))
+        self.__dict__.update(normals=tuple(tuple(sign * x for x in r) for r in adj),
+                             multiplicity=abs(det))
 
     @classmethod
     def of(cls, generators: Sequence[Sequence[int]]):

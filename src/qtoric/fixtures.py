@@ -3,7 +3,6 @@ standard combinatorial spheres used as cross-checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Tuple
@@ -12,17 +11,20 @@ from .charmap import CharacteristicMap
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
 from .cyclic import PolarPolytope, polar_of_angles
 from .errors import ValidationError
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    description: str
-    complex: Optional[SimplicialComplex] = None
-    polytope: Optional[SimplePolytope] = None
-    orientation: Optional[OrientationData] = None
-    charmap: Optional[CharacteristicMap] = None
-    angles: Optional[Tuple[int, ...]] = None
+class Fixture(Value):
+    _fields = ("name", "description", "complex", "polytope", "orientation", "charmap", "angles")
+
+    def __init__(self, name: str, description: str, complex: Optional[SimplicialComplex] = None,
+                 polytope: Optional[SimplePolytope] = None,
+                 orientation: Optional[OrientationData] = None,
+                 charmap: Optional[CharacteristicMap] = None,
+                 angles: Optional[Tuple[int, ...]] = None):
+        self.__dict__.update(name=name, description=description, complex=complex,
+                             polytope=polytope, orientation=orientation, charmap=charmap,
+                             angles=angles)
 
 
 def _cyclic_polygon(m: int) -> Tuple[SimplePolytope, OrientationData]:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -705,20 +706,35 @@ class TestSharedParser:
             assert not subparser.get_default("inputs"), command
 
 
-# the argv lists of the console-script step in .github/workflows/tests.yml
+WORKFLOW = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".github", "workflows", "tests.yml"
+)
+
+# the argv lists of the console-script step in .github/workflows/tests.yml,
+# in its order, but for the lists that read a file the step writes ($cross4,
+# $angles, $barnette, $config, $two_faults)
 CONSOLE_SCRIPT_ARGVS = [
     "fixtures", "fvector fixtures:barnette", "polar fixtures:d47", "orient-tuples fixtures:d47",
     "search fixtures:triangle --bound 1 --goal all-positive --base-vertex 1,2",
     "search fixtures:d47 --bound 1 --goal unimodular --base-vertex 2,1,3,7 --max-printed 1000",
     "search fixtures:d47 --bound 1 --goal all-positive --base-vertex 2,1,3,7",
     "cyclic-gen fixtures:d47",
-    "orient fixtures:barnette", "hvector fixtures:cross4", "dualize fixtures:simplex4",
+    "orient fixtures:barnette", "orient fixtures:rp2_6",
+    "hvector fixtures:cross4", "dualize fixtures:simplex4",
     "gale --n 7 --d 4", "fan-check fixtures:barnette", "fan-check fixtures:d47",
     "fan-check fixtures:pentagon",
     "signs fixtures:d47", "flip-solve fixtures:barnette",
     "check-unimodular fixtures:pentagon", "almost-complex fixtures:pentagon",
+    "fixtures pentagon", "fixtures d47", "fixtures barnette",
     "gale --n 7 --bogus", "nosuchcommand", "--help",
 ]
+
+
+def test_console_script_argvs_are_the_file_free_lists_of_the_step():
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        loop = re.search(r"for args in (.*?); do", fh.read(), re.S)
+    step = re.findall(r'"([^"]*)"', loop.group(1))
+    assert sorted(argv for argv in step if "$" not in argv) == sorted(CONSOLE_SCRIPT_ARGVS)
 
 PARSE_ARGVS = [argv.split() for argv in CONSOLE_SCRIPT_ARGVS] + [
     ["gale", "--n", "x"],
@@ -758,7 +774,7 @@ class TestDispatchedParse:
 
     def test_cases_cover_both_outcomes(self, capsys):
         outcomes = [parse_outcome(capsys, cli._parse_args, argv) for argv in PARSE_ARGVS]
-        assert sum(o[0] == "parsed" for o in outcomes) == 22
+        assert sum(o[0] == "parsed" for o in outcomes) == 26
         errors = {" ".join(argv): o for argv, o in zip(PARSE_ARGVS, outcomes) if o[0] == "exit"}
         assert errors["gale --n 7 --bogus"][3].startswith("usage: qtoric [-h]")
         assert "qtoric: error: unrecognized arguments: --bogus" in errors["gale --n 7 --bogus"][3]
