@@ -6,11 +6,12 @@ Exit codes: 0 = check passed / output produced, 1 = check failed
 (e.g. a -1 sign found), 2 = input error, bad flag values included.
 
 A subcommand is a function ``(ctx, args) -> (verdict, details, exit_code)``
-on the `Context` its inputs resolved to.  It neither reads inputs nor
-writes output: ``main`` alone loads the inputs, builds the report envelope
-``{"check", "verdict", "details", "provenance"}`` and writes it to stdout
-or ``--output``.  ``dualize`` and ``fixtures`` return the bare document
-they print instead of a verdict.
+on its resolved inputs: a namespace with the field `_FIELD_OF_KIND` names
+for each document kind, None where no input fills it, and the provenance
+list.  It neither reads inputs nor writes output: ``main`` alone loads
+the inputs, builds the report envelope ``{"check", "verdict", "details",
+"provenance"}`` and writes it to stdout or ``--output``.  ``dualize`` and
+``fixtures`` return the bare document they print instead of a verdict.
 
 What depends only on process-cached objects is done once per process: the
 parser, each fixture, the polar of an angle tuple and the encoded details
@@ -25,14 +26,14 @@ import argparse
 import re
 import sys
 from functools import cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from . import charmap as cm_mod
 from . import charsearch, complexes, cyclic, fanchk
-from .charmap import CharacteristicMap
 from .charsearch import GOALS, SearchConfig
-from .complexes import OrientationData, OrientedCells, SimplePolytope, SimplicialComplex, cell_label
-from .cyclic import AngleSpec, CaratheodoryRealization
+from .complexes import OrientationData, OrientedCells, cell_label
+from .cyclic import CaratheodoryRealization
 from .documents import (
     Fragment, canonical_json, document_to_obj, fraction_to_json, fragment, parse_document,
     sqrt2_to_json
@@ -42,7 +43,6 @@ from .exactnum import gf2_solve
 from .fixtures import (
     D47_ANGLES, D47_REFERENCE_TUPLES, FIXTURE_NAMES, Fixture, get_fixture
 )
-from .values import Record
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,28 +52,7 @@ EXIT_INPUT_ERROR = 2
 Result = Tuple[Any, Any, int]
 
 
-class Context(Record):
-    """Everything a subcommand may need, resolved from inputs."""
-
-    _fields = ("complex", "polytope", "orientation", "charmap", "angles", "search_config",
-               "provenance")
-
-    def __init__(self, complex: Optional[SimplicialComplex] = None,
-                 polytope: Optional[SimplePolytope] = None,
-                 orientation: Optional[OrientationData] = None,
-                 charmap: Optional[CharacteristicMap] = None, angles: Optional[AngleSpec] = None,
-                 search_config: Optional[SearchConfig] = None,
-                 provenance: Optional[List[str]] = None):
-        self.complex = complex
-        self.polytope = polytope
-        self.orientation = orientation
-        self.charmap = charmap
-        self.angles = angles
-        self.search_config = search_config
-        self.provenance = [] if provenance is None else provenance
-
-
-# the Context field a document of each kind fills
+# the input field a document of each kind fills
 _FIELD_OF_KIND = {
     "simplicial_complex": "complex",
     "simple_polytope": "polytope",
@@ -106,19 +85,17 @@ def _integer(text: str) -> int:
 
 
 def _fixture_parts(fx: Fixture) -> Dict[str, Any]:
-    """The fixture's documents, keyed by the Context field each fills."""
-    parts = {
-        name: getattr(fx, name)
-        for name in ("complex", "polytope", "orientation", "charmap")
+    """The fixture's documents, keyed by the input field each fills."""
+    return {
+        name: value for name in _FIELD_OF_KIND.values()
+        if (value := getattr(fx, name, None)) is not None
     }
-    if fx.angles is not None:
-        parts["angles"] = AngleSpec(fx.angles)
-    return {name: value for name, value in parts.items() if value is not None}
 
 
-def _load_inputs(tokens: Sequence[str]) -> Context:
-    """Later inputs override earlier ones that fill the same field."""
-    ctx = Context()
+def _load_inputs(tokens: Sequence[str]) -> SimpleNamespace:
+    """The input fields, None where no input fills one, and the provenance
+    list; later inputs override earlier ones that fill the same field."""
+    ctx = SimpleNamespace(**dict.fromkeys(_FIELD_OF_KIND.values()), provenance=[])
     for token in tokens:
         if token.startswith("fixtures:"):
             name = token.split(":", 1)[1]
@@ -149,11 +126,11 @@ def _exit(ok: bool) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _angles(ctx: Context) -> Tuple[int, ...]:
+def _angles(ctx: SimpleNamespace) -> Tuple[int, ...]:
     return _need(ctx.angles, "an angles document").eighth_turns
 
 
-def _structure(ctx: Context):
+def _structure(ctx: SimpleNamespace):
     """The polytope or complex to check.  Angles without a polytope give the
     polar, and its orientation tuples unless an orientation was given."""
     if ctx.polytope is None and ctx.angles is not None:
@@ -166,7 +143,7 @@ def _structure(ctx: Context):
     return _need(ctx.complex, "a polytope, complex, or angles input")
 
 
-def _orientation(ctx: Context) -> OrientationData:
+def _orientation(ctx: SimpleNamespace) -> OrientationData:
     structure = _structure(ctx)
     if ctx.orientation is None:
         # _structure gives the polytope whenever there is one
@@ -179,7 +156,7 @@ def _orientation(ctx: Context) -> OrientationData:
 # -- subcommand implementations ---------------------------------------------
 
 
-def _cmd_fixtures(ctx: Context, args) -> Dict[str, Any]:
+def _cmd_fixtures(ctx: SimpleNamespace, args) -> Dict[str, Any]:
     if not args.name:
         return {"fixtures": list(FIXTURE_NAMES)}
     fx = get_fixture(args.name)
@@ -187,20 +164,20 @@ def _cmd_fixtures(ctx: Context, args) -> Dict[str, Any]:
     return {"name": fx.name, "description": fx.description, **parts}
 
 
-def _cmd_fvector(ctx: Context, args) -> Result:
+def _cmd_fvector(ctx: SimpleNamespace, args) -> Result:
     fv = complexes.f_vector(_need(ctx.complex, "a simplicial complex"))
     chi = complexes.euler_characteristic(fv)
     return list(fv), {"euler_characteristic": chi}, EXIT_OK
 
 
-def _cmd_hvector(ctx: Context, args) -> Result:
+def _cmd_hvector(ctx: SimpleNamespace, args) -> Result:
     k = _need(ctx.complex, "a simplicial complex")
     fv = complexes.f_vector(k)
     hv = complexes.h_vector(fv, k.dimension + 1)
     return list(hv), {"f_vector": list(fv)}, EXIT_OK
 
 
-def _cmd_orient(ctx: Context, args) -> Result:
+def _cmd_orient(ctx: SimpleNamespace, args) -> Result:
     k = _need(ctx.complex, "a simplicial complex")
     ok, offending = complexes.pseudomanifold_check(k)
     if not ok:
@@ -217,7 +194,7 @@ def _cmd_orient(ctx: Context, args) -> Result:
     return "orientable", {"orientation": document_to_obj(orientation)}, EXIT_OK
 
 
-def _cmd_dualize(ctx: Context, args) -> Dict[str, Any]:
+def _cmd_dualize(ctx: SimpleNamespace, args) -> Dict[str, Any]:
     k = _need(ctx.complex, "a simplicial complex")
     return document_to_obj(complexes.dualize(k))
 
@@ -241,7 +218,7 @@ def _cyclic_gen(eighth_turns: Tuple[int, ...]):
     return "ok", {"eighth_turns": list(eighth_turns), "points": points}
 
 
-def _cmd_gale(ctx: Context, args) -> Result:
+def _cmd_gale(ctx: SimpleNamespace, args) -> Result:
     facets = cyclic.gale_facets(args.n, args.d)
     details = {"n": args.n, "d": args.d, "count": len(facets)}
     return [list(f) for f in facets], details, EXIT_OK
@@ -267,7 +244,7 @@ def _orient_tuples(eighth_turns: Tuple[int, ...]):
     return comparison.case, details
 
 
-def _cmd_check_unimodular(ctx: Context, args) -> Result:
+def _cmd_check_unimodular(ctx: SimpleNamespace, args) -> Result:
     structure = _structure(ctx)
     cm = _need(ctx.charmap, "a charmap document")
     ok, offenders = cm_mod.unimodularity_check(structure, cm)
@@ -275,7 +252,7 @@ def _cmd_check_unimodular(ctx: Context, args) -> Result:
     return "pass" if ok else "fail", {"offending_vertices": offending}, _exit(ok)
 
 
-def _cmd_signs(ctx: Context, args) -> Result:
+def _cmd_signs(ctx: SimpleNamespace, args) -> Result:
     structure = _structure(ctx)
     cm = _need(ctx.charmap, "a charmap document")
     orientation = _orientation(ctx)
@@ -287,7 +264,7 @@ def _cmd_signs(ctx: Context, args) -> Result:
     return verdict, {"all_positive": ok}, _exit(ok)
 
 
-def _cmd_almost_complex(ctx: Context, args) -> Result:
+def _cmd_almost_complex(ctx: SimpleNamespace, args) -> Result:
     structure = _structure(ctx)
     cm = _need(ctx.charmap, "a charmap document")
     orientation = _orientation(ctx)
@@ -295,7 +272,7 @@ def _cmd_almost_complex(ctx: Context, args) -> Result:
     return ok, {"offending_vertices": sorted(offenders)}, _exit(ok)
 
 
-def _cmd_flip_solve(ctx: Context, args) -> Result:
+def _cmd_flip_solve(ctx: SimpleNamespace, args) -> Result:
     structure = _structure(ctx)
     cm = _need(ctx.charmap, "a charmap document")
     orientation = _orientation(ctx)
@@ -309,7 +286,7 @@ def _cmd_flip_solve(ctx: Context, args) -> Result:
     return "infeasible", {"contradictory_vertices": contradictory}, EXIT_CHECK_FAILED
 
 
-def _cmd_fan_check(ctx: Context, args) -> Result:
+def _cmd_fan_check(ctx: SimpleNamespace, args) -> Result:
     structure = _structure(ctx)
     cm = _need(ctx.charmap, "a charmap document")
     cones, adjacency = fanchk.cones_from_charmap(structure, cm)
@@ -333,7 +310,7 @@ def _cmd_fan_check(ctx: Context, args) -> Result:
 _SEARCH_FLAGS = ("bound", "goal", "base_vertex", "node_budget")
 
 
-def _search_config(ctx: Context, args) -> SearchConfig:
+def _search_config(ctx: SimpleNamespace, args) -> SearchConfig:
     """The search_config document, or the one the flags give; not both."""
     given = [name for name in _SEARCH_FLAGS if getattr(args, name) is not None]
     if ctx.search_config is not None:
@@ -358,7 +335,7 @@ def _search_config(ctx: Context, args) -> SearchConfig:
     )
 
 
-def _cmd_search(ctx: Context, args) -> Result:
+def _cmd_search(ctx: SimpleNamespace, args) -> Result:
     structure = _structure(ctx)
     orientation = _orientation(ctx)
     config = _search_config(ctx, args)
@@ -395,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
             "simplicial spheres: vertex signs, flips, fans, and search."
         ),
     )
-    # subcommands without inputs resolve to an empty Context
+    # subcommands without inputs resolve to no input fields
     parser.set_defaults(inputs=[])
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand's own parser by name, which add_parser enters in the

@@ -44,7 +44,7 @@ from .exactnum import (
 )
 from .values import Value
 
-# cos and sin at k*pi/4 for k = 0..7
+# cos at k*pi/4 for k = 0..7, and sin, which is cos a quarter turn earlier
 _COS = {
     0: SQRT2_ONE,
     1: SQRT2_HALF_ROOT,
@@ -55,16 +55,7 @@ _COS = {
     6: SQRT2_ZERO,
     7: SQRT2_HALF_ROOT,
 }
-_SIN = {
-    0: SQRT2_ZERO,
-    1: SQRT2_HALF_ROOT,
-    2: SQRT2_ONE,
-    3: SQRT2_HALF_ROOT,
-    4: SQRT2_ZERO,
-    5: -SQRT2_HALF_ROOT,
-    6: -SQRT2_ONE,
-    7: -SQRT2_HALF_ROOT,
-}
+_SIN = {k: _COS[(k - 2) % 8] for k in _COS}
 
 # a string, so that typing caches no subscript holding this import's class
 Vector: TypeAlias = "Tuple[Sqrt2Number, ...]"

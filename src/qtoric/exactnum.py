@@ -122,7 +122,8 @@ class Sqrt2Number(Value):
         return self.rat == o.rat and self.sqrt2 == o.sqrt2
 
     def __hash__(self) -> int:
-        return hash((self.rat, self.sqrt2))
+        # a rational element equals its int or Fraction, so hashes as that
+        return hash((self.rat, self.sqrt2)) if self.sqrt2 else hash(self.rat)
 
     def _cmp(self, other) -> int:
         """Sign of self - other; comparing with zero needs no subtraction."""

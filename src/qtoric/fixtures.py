@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .charmap import CharacteristicMap
 from .complexes import OrientationData, SimplePolytope, SimplicialComplex
-from .cyclic import PolarPolytope, polar_of_angles
+from .cyclic import AngleSpec, PolarPolytope, polar_of_angles
 from .errors import ValidationError
 from .values import Value
 
@@ -21,56 +21,34 @@ class Fixture(Value):
                  polytope: Optional[SimplePolytope] = None,
                  orientation: Optional[OrientationData] = None,
                  charmap: Optional[CharacteristicMap] = None,
-                 angles: Optional[Tuple[int, ...]] = None):
+                 angles: Optional[AngleSpec] = None):
         self.__dict__.update(name=name, description=description, complex=complex,
                              polytope=polytope, orientation=orientation, charmap=charmap,
                              angles=angles)
 
 
-def _cyclic_polygon(m: int) -> Tuple[SimplePolytope, OrientationData]:
-    """An m-gon with facets 1..m counterclockwise and v_i = F_i /\\ F_{i+1}."""
-    vertices = [(i, i % m + 1) for i in range(1, m + 1)]
-    poly = SimplePolytope.of(m, 2, vertices)
-    return poly, OrientationData(tuple(vertices))
+def _polygon(name: str, description: str, vectors: Sequence[Tuple[int, int]]) -> Fixture:
+    """An m-gon with facets 1..m counterclockwise, v_i = F_i /\\ F_{i+1}, and
+    facet i sent to vectors[i-1]."""
+    m = len(vectors)
+    vertices = tuple((i, i % m + 1) for i in range(1, m + 1))
+    return Fixture(name, description, polytope=SimplePolytope.of(m, 2, vertices),
+                   orientation=OrientationData(vertices), charmap=CharacteristicMap.of(2, vectors))
 
 
 def _pentagon() -> Fixture:
-    poly, orient = _cyclic_polygon(5)
-    cm = CharacteristicMap.of(
-        2, [(0, -1), (1, 1), (1, 2), (-2, -3), (-1, -2)]
-    )
-    return Fixture(
-        "pentagon",
-        "counterclockwise pentagon with a sign assignment whose vertex "
-        "signs are all +1",
-        polytope=poly,
-        orientation=orient,
-        charmap=cm,
-    )
+    return _polygon("pentagon", "counterclockwise pentagon with a sign assignment whose vertex "
+                    "signs are all +1", [(0, -1), (1, 1), (1, 2), (-2, -3), (-1, -2)])
 
 
 def _triangle() -> Fixture:
-    poly, orient = _cyclic_polygon(3)
-    cm = CharacteristicMap.of(2, [(1, 0), (0, 1), (-1, -1)])
-    return Fixture(
-        "triangle",
-        "triangle with the standard assignment e1, e2, -e1-e2",
-        polytope=poly,
-        orientation=orient,
-        charmap=cm,
-    )
+    return _polygon("triangle", "triangle with the standard assignment e1, e2, -e1-e2",
+                    [(1, 0), (0, 1), (-1, -1)])
 
 
 def _square() -> Fixture:
-    poly, orient = _cyclic_polygon(4)
-    cm = CharacteristicMap.of(2, [(1, 0), (0, 1), (-1, 0), (0, -1)])
-    return Fixture(
-        "square",
-        "square with the standard assignment e1, e2, -e1, -e2",
-        polytope=poly,
-        orientation=orient,
-        charmap=cm,
-    )
+    return _polygon("square", "square with the standard assignment e1, e2, -e1, -e2",
+                    [(1, 0), (0, 1), (-1, 0), (0, -1)])
 
 
 # the seven curve angles 0, pi/4, ..., 3pi/2 defining C4(7)
@@ -117,7 +95,7 @@ def _d47() -> Fixture:
         "eighth-turn angles, with a unimodular but not all-positive "
         "sign assignment",
         charmap=cm,
-        angles=D47_ANGLES,
+        angles=AngleSpec(D47_ANGLES),
     )
 
 

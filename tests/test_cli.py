@@ -725,7 +725,8 @@ CONSOLE_SCRIPT_ARGVS = [
     "fan-check fixtures:pentagon",
     "signs fixtures:d47", "flip-solve fixtures:barnette",
     "check-unimodular fixtures:pentagon", "almost-complex fixtures:pentagon",
-    "fixtures pentagon", "fixtures d47", "fixtures barnette",
+    "fixtures pentagon", "fixtures d47", "fixtures barnette", "fixtures triangle",
+    "fixtures square",
     "gale --n 7 --bogus", "nosuchcommand", "--help",
 ]
 
@@ -774,7 +775,7 @@ class TestDispatchedParse:
 
     def test_cases_cover_both_outcomes(self, capsys):
         outcomes = [parse_outcome(capsys, cli._parse_args, argv) for argv in PARSE_ARGVS]
-        assert sum(o[0] == "parsed" for o in outcomes) == 26
+        assert sum(o[0] == "parsed" for o in outcomes) == 28
         errors = {" ".join(argv): o for argv, o in zip(PARSE_ARGVS, outcomes) if o[0] == "exit"}
         assert errors["gale --n 7 --bogus"][3].startswith("usage: qtoric [-h]")
         assert "qtoric: error: unrecognized arguments: --bogus" in errors["gale --n 7 --bogus"][3]
@@ -856,7 +857,7 @@ class TestReportFragments:
 
     @pytest.mark.parametrize("command", sorted(BUILDERS))
     def test_fixture_report_matches_its_unencoded_details(self, capsys, command):
-        verdict, details = self.BUILDERS[command](get_fixture("d47").angles)
+        verdict, details = self.BUILDERS[command](get_fixture("d47").angles.eighth_turns)
         for _ in range(2):
             code, report, _ = run_json(capsys, command, "fixtures:d47")
             assert (code, report["verdict"], report["details"]) == (EXIT_OK, verdict, details)

@@ -121,6 +121,19 @@ class TestCurvePoints:
     def test_angle_quarter(self):
         assert caratheodory_point(1) == (HALF_ROOT, HALF_ROOT, ZERO, ONE)
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_trigonometric_identities(self, k):
+        c, s, c2, s2 = caratheodory_point(k)
+        assert c * c + s * s == 1
+        assert c2 == c * c - s * s
+        assert s2 == 2 * s * c
+        # the signs of cos and sin at k*pi/4, quadrant by quadrant
+        assert (c.sign(), s.sign()) == ((1, 0), (1, 1), (0, 1), (-1, 1),
+                                        (-1, 0), (-1, -1), (0, -1), (1, -1))[k]
+        # a quarter turn on: cos(u + pi/2) = -sin u, sin(u + pi/2) = cos u
+        c_next, s_next = caratheodory_point((k + 2) % 8)[:2]
+        assert (c_next, s_next) == (-s, c)
+
     def test_unsupported_angle(self):
         with pytest.raises(FieldCoverageError):
             caratheodory_point(9)

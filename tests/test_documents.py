@@ -478,9 +478,10 @@ def encodable_values():
     values = list(SAMPLE_VALUES) + list(BOOL_VALUES)
     for name in FIXTURE_NAMES:
         fx = get_fixture(name)
-        values += [v for v in (fx.complex, fx.polytope, fx.orientation, fx.charmap) if v is not None]
-        if fx.angles is not None:
-            values.append(AngleSpec(fx.angles))
+        values += [
+            v for v in (fx.complex, fx.polytope, fx.orientation, fx.charmap, fx.angles)
+            if v is not None
+        ]
     polar = d47_polar()
     values += [polar.polytope, polar.orientation, polar.orientation.reversed()]
     return values

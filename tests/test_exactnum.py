@@ -531,6 +531,16 @@ class TestSqrt2:
         assert Sqrt2Number.of(0, 1) > 1  # sqrt2 > 1
         assert Sqrt2Number.of(0, 1) < Fraction(3, 2)  # sqrt2 < 1.5
 
+    def test_hash_agrees_with_equality(self):
+        # a rational element equals its int or Fraction, so it must find and
+        # be found by them in sets and dicts
+        assert Sqrt2Number.of(1) in {1}
+        assert 1 in {Sqrt2Number.of(1)}
+        assert {Fraction(1, 2): "half"}[Sqrt2Number.of(Fraction(1, 2))] == "half"
+        assert {Sqrt2Number.of(0): "zero"}[0] == "zero"
+        x, y = Sqrt2Number.of(Fraction(3, 2), -1), Sqrt2Number.of(Fraction(6, 4), -1)
+        assert x == y and hash(x) == hash(y)
+
 
 def brute_force_gf2(system: Gf2System):
     """Exhaustive enumeration oracle over all 2^n assignments."""

@@ -5,7 +5,8 @@ golden_cyclic.json holds the sha256 of stdout, the exit code and stderr of
   of {0, ..., 7} with 5 to 8 elements and on `fixtures:d47`;
 - `fan-check` on the barnette, d47, pentagon, square and triangle fixtures,
   on cross4 with the +-e_i charmap, and on the Barnette and D4(7) maps each
-  under three seeded GL(4,Z) transforms, so every witness ray is pinned.
+  under three seeded GL(4,Z) transforms, so every witness ray is pinned;
+- `fixtures` on each of the eight built-in fixtures.
 Re-record it, only when a report is meant to change, from the root of a
 checkout:
 
@@ -24,7 +25,7 @@ from itertools import combinations
 
 from qtoric.cli import main
 from qtoric.cyclic import polar_of_angles
-from qtoric.fixtures import get_fixture
+from qtoric.fixtures import FIXTURE_NAMES, get_fixture
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cyclic.json")
 COMMANDS = ("polar", "orient-tuples", "cyclic-gen")
@@ -97,6 +98,8 @@ def digests():
             for command in COMMANDS:
                 runs[f"{command} fixtures:d47"] = run_cli([command, "fixtures:d47"])
             runs.update(fan_runs())
+            for name in FIXTURE_NAMES:
+                runs[f"fixtures {name}"] = run_cli(["fixtures", name])
         finally:
             os.chdir(cwd)
     return runs
@@ -105,7 +108,9 @@ def digests():
 def test_reports_match_golden():
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert len(golden) == 3 * 94 + len(FAN_FIXTURES) + 1 + 2 * len(FAN_SEEDS)
+    assert len(golden) == (
+        3 * 94 + len(FAN_FIXTURES) + 1 + 2 * len(FAN_SEEDS) + len(FIXTURE_NAMES)
+    )
     assert digests() == golden
     # only the angle subsets that yield a polar are cached, each once
     assert polar_of_angles.cache_info().currsize <= 93

@@ -3,7 +3,7 @@ leaves behind.
 
 Each record type builds from its fields positionally and by keyword,
 compares and hashes over its compared fields, refuses attribute
-assignment unless it is one of the two mutable results, and prints as
+assignment unless it is the mutable search result, and prints as
 ``Name(field=value, ...)``.  The pinned repr strings are the text the
 types have always printed.
 """
@@ -20,7 +20,6 @@ import pytest
 import qtoric
 from qtoric.charmap import CharacteristicMap
 from qtoric.charsearch import SearchConfig, SearchPlan, SearchResult
-from qtoric.cli import Context
 from qtoric.complexes import OrientationData, OrientedCells, SimplePolytope, SimplicialComplex
 from qtoric.cyclic import AngleSpec, CaratheodoryRealization, OrientationComparison, PolarPolytope
 from qtoric.documents import Document
@@ -111,23 +110,14 @@ CASES = [
     Case(Document, {"kind": "angles", "value": AngleSpec((0, 1))},
          {"value": AngleSpec((0, 2))},
          "Document(kind='angles', value=AngleSpec(eighth_turns=(0, 1)))"),
-    Case(Context, {"complex": None, "polytope": TRIANGLE, "orientation": None, "charmap": None,
-                   "angles": None, "search_config": None, "provenance": ["fixture triangle"]},
-         {"provenance": []},
-         "Context(complex=None, polytope=SimplePolytope(num_facets=3, dimension=2, "
-         "vertices=(frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}))), "
-         "orientation=None, charmap=None, angles=None, search_config=None, "
-         "provenance=['fixture triangle'])",
-         {"complex": None, "polytope": None, "orientation": None, "charmap": None,
-          "angles": None, "search_config": None, "provenance": []}),
 ]
 
-MUTABLE = (SearchResult, Context)
+MUTABLE = (SearchResult,)
 IDENTITY_EQUAL = (OrientedCells,)
 
 
 def test_every_record_type_has_a_case():
-    assert len({case.cls for case in CASES}) == len(CASES) == 19
+    assert len({case.cls for case in CASES}) == len(CASES) == 18
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.cls.__name__ for case in CASES])
