@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .complexes import CellTable, OrientationData, OrientedCells, cell_label
 from .errors import CoverageError, UnimodularityError, ValidationError
-from .exactnum import Gf2System, as_int, as_ints, bareiss_det, det_int, is_primitive
+from .exactnum import Gf2System, as_int, as_ints, bareiss_det, is_primitive
 from .values import Value
 
 SignPattern = Tuple[int, ...]
@@ -98,11 +98,6 @@ def unimodularity_check(
         if abs(d) != 1:
             offenders.append((cell_label(cell), d))
     return (not offenders, offenders)
-
-
-def vertex_sign(cm: CharacteristicMap, ordered: Sequence[int]) -> int:
-    """Sign of one cell: det of the vectors in positively ordered column order."""
-    return _unimodular(det_int([cm.vector(i) for i in ordered]), ordered)
 
 
 def sign_pattern(

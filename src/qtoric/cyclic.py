@@ -184,31 +184,13 @@ def _hull(lifted: Sequence[List[Z2]]) -> Tuple[List[Tuple], Optional[List[Z2]]]:
     return faces, dets if faces else None
 
 
-def verify_facets_geometric(
-    r: CaratheodoryRealization, candidate: Sequence[int]
-) -> bool:
-    """Exact supporting-hyperplane test for a candidate facet: every other
-    point q gives det[candidate; q] of the lifted points one nonzero sign."""
-    lifted, _ = _lifted(r.points)
-    face = [lifted[i - 1] for i in candidate]
-    signs = {
-        sign_z2(det_z2(face + [q]))
-        for i, q in enumerate(lifted, start=1)
-        if i not in candidate
-    }
-    return signs in ({1}, {-1})
-
-
-def contains_origin_interior(r_or_points) -> bool:
-    """Whether 0 lies in the interior of the convex hull, exactly.
+def contains_origin_interior(points: Sequence[Sequence]) -> bool:
+    """Whether 0 lies in the interior of the convex hull of the points, exactly.
 
     Requires the points to span the ambient space (else RankError); 0 is
     interior iff it lies strictly on the inner side of every facet
     hyperplane of the hull.
     """
-    points = r_or_points.points if isinstance(r_or_points, CaratheodoryRealization) else tuple(
-        tuple(p) for p in r_or_points
-    )
     return _hull(_lifted(points)[0])[1] is not None
 
 

@@ -1,13 +1,15 @@
 """Exact scalar and linear-algebra kernel.
 
 Everything here is exact: arbitrary-precision rationals (stdlib Fraction),
-the quadratic field Q(sqrt 2), one fraction-free (Bareiss) determinant
-kernel, the integer adjugate from one fraction-free Gauss-Jordan
-elimination, GF(2) linear systems with infeasibility certificates, and a
-positive kernel vector of a rational matrix (phase-1 simplex with Bland's
-rule).  The determinant kernel, bareiss_det, has one checked integer entry,
-det_int; the search also calls it on the int rows it builds, and det_z2
-calls it once per subset of the sqrt 2 columns of a Z[sqrt 2] matrix.
+values of the quadratic field Q(sqrt 2) with an exact sign and no order,
+one fraction-free (Bareiss) determinant kernel, the integer adjugate from
+one fraction-free Gauss-Jordan elimination, GF(2) linear systems with
+infeasibility certificates, and a positive kernel vector of a rational
+matrix (phase-1 simplex with Bland's rule).  The determinant kernel,
+bareiss_det, has one checked integer entry, det_int, for library callers;
+the signs, the unimodularity check and the search call the kernel directly
+on the int rows they build, and det_z2 calls it once per subset of the
+sqrt 2 columns of a Z[sqrt 2] matrix.
 Z[sqrt 2] elements are int pairs; clear_denominators brings rational and
 Q(sqrt 2) data into them and divide_z2 takes a quotient back out.  No
 floating point is used anywhere in a decision path.
@@ -41,7 +43,7 @@ def _frac(x: Rationalish) -> Fraction:
 
 
 class Sqrt2Number(Value):
-    """An element a + b*sqrt(2) of Q(sqrt 2) with exact rational a, b."""
+    """An element a + b*sqrt(2) of Q(sqrt 2), exact rational a, b: signed, not ordered."""
 
     _fields = ("rat", "sqrt2")
 
@@ -91,7 +93,7 @@ class Sqrt2Number(Value):
     def __rtruediv__(self, other) -> "Sqrt2Number":
         return coerce_sqrt2(other) * self.inverse()
 
-    # -- order --------------------------------------------------------------
+    # -- sign and equality --------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(2), decided without floating point."""
@@ -124,23 +126,6 @@ class Sqrt2Number(Value):
     def __hash__(self) -> int:
         # a rational element equals its int or Fraction, so hashes as that
         return hash((self.rat, self.sqrt2)) if self.sqrt2 else hash(self.rat)
-
-    def _cmp(self, other) -> int:
-        """Sign of self - other; comparing with zero needs no subtraction."""
-        o = coerce_sqrt2(other)
-        return (self - o).sign() if o else self.sign()
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         return f"({self.rat} + {self.sqrt2}*sqrt2)"

@@ -148,11 +148,7 @@ def fan_properness(
         shared = set(cones[i - 1].generators) & set(cones[j - 1].generators)
         if len(shared) != n - 1:
             offenders.append(
-                {
-                    "pair": (i, j),
-                    "reason": "adjacent cones do not share a common ridge",
-                    "shared_generators": sorted(shared),
-                }
+                {"pair": (i, j), "reason": "adjacent cones do not share a common ridge"}
             )
     for i, j in combinations(range(1, len(cones) + 1), 2):
         overlap, ray = cones_overlap_interior(cones[i - 1], cones[j - 1])

@@ -5,6 +5,8 @@ package used before its geometry moved to Z[sqrt 2] determinants, and
 hyperplane_polar is the supporting-hyperplane pass built on it: it solves
 for the hyperplane <a, x> + c = 0 through every d-subset of the points and
 reads the facets, the origin test and the polar vertices -a/c off it.
+Q(sqrt 2) values have an exact sign but no order, so every comparison with
+zero goes through sign.
 
 strict_feasibility and _phase1_simplex are the general LP front end the
 package used before its LP was narrowed to a positive kernel vector:
@@ -26,6 +28,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from qtoric import exactnum
 from qtoric.errors import DimensionError, ValidationError
 from qtoric.exactnum import Sqrt2Number, coerce_sqrt2
+
+
+def sign(x):
+    """Exact sign of a rational or a Q(sqrt 2) value."""
+    return x.sign() if isinstance(x, Sqrt2Number) else (x > 0) - (x < 0)
 
 
 def _rational(x):
@@ -109,11 +116,11 @@ def supporting_hyperplane(points, subset):
         for i, q in enumerate(points, start=1)
         if i not in subset
     ]
-    if any(v < 0 for v in values):
-        if any(v > 0 for v in values):
+    if any(sign(v) < 0 for v in values):
+        if any(sign(v) > 0 for v in values):
             return None
         normal, offset, values = [-a for a in normal], -offset, [-v for v in values]
-    elif not any(v > 0 for v in values):
+    elif not any(sign(v) > 0 for v in values):
         return None
     return normal, offset, all(values)
 
@@ -130,7 +137,7 @@ def hyperplane_polar(points):
         hyperplane = supporting_hyperplane(points, subset)
         if hyperplane is not None:
             kept.append((subset,) + hyperplane)
-    interior = bool(kept) and all(offset > 0 for _, _, offset, _ in kept)
+    interior = bool(kept) and all(sign(offset) > 0 for _, _, offset, _ in kept)
     vertices = {}
     if interior:
         for subset, normal, offset, _ in kept:

@@ -4,14 +4,22 @@ brute_force_search fixes the base parity the way charsearch.plan_search
 does, then tries every assignment of candidate vectors to the free
 carriers and tests every cell, with no carrier order and no pruning by
 depth.  It is exponential in the number of free carriers, so it serves the
-small fixtures only (triangle, square).
+small fixtures only (triangle, square).  It lists its own candidate vectors
+and takes each determinant from ray_oracle.det, a cofactor expansion, so it
+shares neither the candidate list nor the Bareiss kernel with the search.
 """
 
 from itertools import product
+from math import gcd
 
-from qtoric.charsearch import candidate_vectors
 from qtoric.cyclic import permutation_parity
-from qtoric.exactnum import det_int
+
+from ray_oracle import det
+
+
+def candidates(n, bound):
+    """The primitive vectors with entries in [-bound, bound], lexicographic."""
+    return [v for v in product(range(-bound, bound + 1), repeat=n) if gcd(*v) == 1]
 
 
 def brute_force_search(structure, orientation, base, bound, goal):
@@ -27,13 +35,12 @@ def brute_force_search(structure, orientation, base, bound, goal):
     pinned = {c: tuple(1 if i == k else 0 for i in range(n))
               for k, c in enumerate(base)}
     solutions = []
-    for combo in product(candidate_vectors(n, bound), repeat=len(free)):
+    for combo in product(candidates(n, bound), repeat=len(free)):
         assignment = dict(pinned)
         assignment.update(zip(free, combo))
         ok = True
         for tup in tuples:
-            cols = [assignment[i] for i in tup]
-            d = det_int([[cols[j][i] for j in range(n)] for i in range(n)])
+            d = det([assignment[i] for i in tup])
             ok = d == 1 if goal == "all_positive" else abs(d) == 1
             if not ok:
                 break

@@ -35,7 +35,6 @@ from qtoric.cyclic import (
     contains_origin_interior,
     gale_facets,
     permutation_parity,
-    verify_facets_geometric,
 )
 from qtoric.errors import IncoherentOrientationError
 from qtoric.exactnum import Gf2System, gf2_solve
@@ -52,6 +51,7 @@ from qtoric.fixtures import (
     get_fixture,
 )
 
+from field_oracle import supporting_hyperplane
 from search_oracle import brute_force_search
 
 
@@ -93,16 +93,16 @@ def test_criterion_2_gale_evenness():
         }
         gale = set(map(frozenset, gale_facets(7, 4)))
         assert gale == expected
-        realization = CaratheodoryRealization.of(range(7))
+        points = CaratheodoryRealization.of(range(7)).points
         for cand in combinations(range(1, 8), 4):
-            assert verify_facets_geometric(realization, cand) == (
+            assert (supporting_hyperplane(points, cand) is not None) == (
                 frozenset(cand) in expected
             )
 
 
 def test_criterion_3_origin_interior():
     with criterion(3, "origin interior to C4(7)", 1.0):
-        assert contains_origin_interior(CaratheodoryRealization.of(range(7)))
+        assert contains_origin_interior(CaratheodoryRealization.of(range(7)).points)
 
 
 def _label(tup):

@@ -14,7 +14,6 @@ from qtoric.charmap import (
     flip_system,
     sign_pattern,
     unimodularity_check,
-    vertex_sign,
 )
 from qtoric.complexes import OrientationData, SimplePolytope, coherent_orientation
 from qtoric.errors import (
@@ -25,15 +24,12 @@ from qtoric.errors import (
 from qtoric.exactnum import gf2_solve
 from qtoric.fixtures import d47_orientation, d47_polar, get_fixture
 
+from ray_oracle import det
 
-def det_cofactor(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    return sum(
-        (-1) ** j * m[0][j] * det_cofactor([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j in range(n)
-    )
+
+def oracle_det(cm, ordered):
+    """det of the vectors at the labels, in order, by cofactor expansion."""
+    return det([cm.vector(i) for i in ordered])
 
 
 def cases_with_signs():
@@ -119,37 +115,48 @@ class TestUnimodularity:
     def test_matches_cofactor_oracle(self):
         for name, structure, cm, orientation in cases_with_signs():
             for tup in orientation.tuples:
-                cols = [cm.vector(i) for i in tup]
-                m = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-                assert abs(det_cofactor(m)) == 1, (name, tup)
+                assert abs(oracle_det(cm, tup)) == 1, (name, tup)
 
 
 class TestVertexSign:
+    """sign_pattern against oracle_det, which shares no code with the
+    Bareiss kernel."""
+
     def test_pentagon_all_positive(self):
         fx = get_fixture("pentagon")
+        assert sign_pattern(fx.polytope, fx.charmap, fx.orientation) == (1,) * 5
         for tup in fx.orientation.tuples:
-            assert vertex_sign(fx.charmap, tup) == 1
+            assert oracle_det(fx.charmap, tup) == 1
 
     def test_d47_examples(self):
         cm = get_fixture("d47").charmap
-        assert vertex_sign(cm, (2, 1, 3, 7)) == 1
-        assert vertex_sign(cm, (4, 5, 6, 7)) == -1
+        orientation = d47_orientation()
+        signs = dict(zip(orientation.tuples, sign_pattern(d47_polar().polytope, cm, orientation)))
+        assert signs[(2, 1, 3, 7)] == oracle_det(cm, (2, 1, 3, 7)) == 1
+        assert signs[(4, 5, 6, 7)] == oracle_det(cm, (4, 5, 6, 7)) == -1
 
     def test_swap_negates(self):
         cm = get_fixture("d47").charmap
-        assert vertex_sign(cm, (1, 2, 3, 7)) == -vertex_sign(cm, (2, 1, 3, 7))
+        polytope, orientation = d47_polar().polytope, d47_orientation()
+        signs = sign_pattern(polytope, cm, orientation)
+        flipped = sign_pattern(polytope, cm, orientation.reversed())
+        assert flipped == tuple(-s for s in signs)
+        assert oracle_det(cm, (1, 2, 3, 7)) == -oracle_det(cm, (2, 1, 3, 7))
 
     def test_non_unimodular_cell_raises(self):
-        cm = CharacteristicMap.of(2, [(1, 0), (1, 0)])
-        with pytest.raises(UnimodularityError):
-            vertex_sign(cm, (1, 2))
+        square = get_fixture("square")
+        cm = CharacteristicMap.of(2, [(1, 0), (1, 0), (0, 1), (0, -1)])
+        with pytest.raises(UnimodularityError, match="has det 0"):
+            sign_pattern(square.polytope, cm, square.orientation)
 
     @pytest.mark.parametrize("ordered", [(0, 1), (1, 0), (-1, 2), (4, 1), (2, 5)])
     def test_label_outside_the_map_raises(self, ordered):
-        # label 0 used to read vector 3 of 3 and give +1; label 4 an IndexError
-        cm = CharacteristicMap.of(2, [(1, 0), (0, 1), (-1, -1)])
-        with pytest.raises(ValidationError, match="outside 1..3"):
-            vertex_sign(cm, ordered)
+        # a det read straight off the labels would take label 0 as vector 3
+        # of 3 and label 4 as an IndexError
+        fx = get_fixture("triangle")
+        orientation = OrientationData((ordered,) + fx.orientation.tuples[1:])
+        with pytest.raises(ValidationError, match="is not a permutation of cell"):
+            sign_pattern(fx.polytope, fx.charmap, orientation)
 
     def test_vector_takes_labels_one_to_m(self):
         cm = CharacteristicMap.of(2, [(1, 0), (0, 1), (-1, -1)])
@@ -163,11 +170,8 @@ class TestVertexSign:
         ids=[case[0] for case in cases_with_signs()],
     )
     def test_sign_pattern_matches_cofactor_oracle(self, name, structure, cm, orientation):
-        expected = tuple(
-            det_cofactor([list(cm.vector(i)) for i in t]) for t in orientation.tuples
-        )
+        expected = tuple(oracle_det(cm, t) for t in orientation.tuples)
         assert sign_pattern(structure, cm, orientation) == expected
-        assert expected == tuple(vertex_sign(cm, t) for t in orientation.tuples)
 
     def test_rank_zero_map_has_one_cell_of_det_one(self):
         point = SimplePolytope(0, 0, (frozenset(),))

@@ -712,7 +712,7 @@ WORKFLOW = os.path.join(
 
 # the argv lists of the console-script step in .github/workflows/tests.yml,
 # in its order, but for the lists that read a file the step writes ($cross4,
-# $angles, $barnette, $config, $two_faults)
+# $square, $angles, $barnette, $config, $two_faults)
 CONSOLE_SCRIPT_ARGVS = [
     "fixtures", "fvector fixtures:barnette", "polar fixtures:d47", "orient-tuples fixtures:d47",
     "search fixtures:triangle --bound 1 --goal all-positive --base-vertex 1,2",

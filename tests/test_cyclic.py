@@ -19,7 +19,6 @@ from qtoric.cyclic import (
     gale_facets,
     permutation_parity,
     polar_of_angles,
-    verify_facets_geometric,
 )
 from qtoric.complexes import OrientationData
 from qtoric.errors import (
@@ -35,7 +34,7 @@ from qtoric.errors import (
 from qtoric.exactnum import SQRT2_ZERO, Sqrt2Number, strict_feasibility
 from qtoric.fixtures import D47_ANGLES, D47_REFERENCE_TUPLES, d47_orientation, d47_polar
 
-from field_oracle import det_field, hyperplane_polar, matrix_rank
+from field_oracle import det_field, hyperplane_polar, matrix_rank, sign, supporting_hyperplane
 from test_golden_cyclic import angle_subsets
 
 HALF_ROOT = Sqrt2Number.of(0, Fraction(1, 2))
@@ -77,7 +76,7 @@ def edge_vector_tuples(p):
             )
         det = det_field(edges)
         assert det != 0
-        if det > 0:
+        if sign(det) > 0:
             tuples.append(tuple(base))
         else:
             tuples.append((base[1], base[0]) + tuple(base[2:]))
@@ -108,7 +107,7 @@ def assert_polar_certificate(polar):
             if i in vertex:
                 assert value == 1
             else:
-                assert value < 1
+                assert sign(value - 1) < 0
 
 
 class TestCurvePoints:
@@ -201,33 +200,38 @@ class TestGale:
         assert gale_facets(7, 1) == [(1,), (7,)]
 
 
+def is_facet(n, candidate):
+    """Whether the candidate spans a supporting hyperplane of the curve
+    points at angles 0..n-1, by the field oracle's row reduction."""
+    points = CaratheodoryRealization.of(range(n)).points
+    return supporting_hyperplane(points, candidate) is not None
+
+
 class TestGeometricFacets:
     def test_n7_true_and_false_cases(self):
-        r = CaratheodoryRealization.of(range(7))
-        assert verify_facets_geometric(r, (1, 2, 3, 4))
-        assert not verify_facets_geometric(r, (1, 3, 5, 7))
+        assert is_facet(7, (1, 2, 3, 4))
+        assert not is_facet(7, (1, 3, 5, 7))
 
     def test_n5_every_subset_is_a_facet(self):
-        r = CaratheodoryRealization.of(range(5))
         for cand in combinations(range(1, 6), 4):
-            assert verify_facets_geometric(r, cand)
+            assert is_facet(5, cand)
 
     def test_gale_equals_geometry(self):
         # exact combinatorial/geometric agreement for every realizable n
         for n in range(5, 9):
-            r = CaratheodoryRealization.of(range(n))
             gale = set(map(frozenset, gale_facets(n, 4)))
             geometric = {
                 frozenset(cand)
                 for cand in combinations(range(1, n + 1), 4)
-                if verify_facets_geometric(r, cand)
+                if is_facet(n, cand)
             }
             assert gale == geometric
+            assert len(geometric) == {5: 5, 6: 9, 7: 14, 8: 20}[n]
 
 
 class TestOriginInterior:
     def test_seven_angles(self):
-        assert contains_origin_interior(CaratheodoryRealization.of(range(7)))
+        assert contains_origin_interior(CaratheodoryRealization.of(range(7)).points)
 
     def test_cross_polytope(self):
         points = []
@@ -374,7 +378,7 @@ class TestBuildPolar:
                 if i in vertex:
                     assert value == ONE
                 else:
-                    assert value < ONE
+                    assert sign(value - ONE) < 0
 
 
 class TestOrientationTuples:
@@ -405,7 +409,7 @@ class TestOrientationTuples:
             try:
                 polar = build_polar_from_points(r.points, gale_facets(r.n, 4))
             except PolarityError:
-                assert not contains_origin_interior(r)
+                assert not contains_origin_interior(r.points)
                 continue
             assert_polar_certificate(polar)
             assert polar.orientation == edge_vector_tuples(polar)

@@ -4,8 +4,10 @@ golden_cyclic.json holds the sha256 of stdout, the exit code and stderr of
 - `polar`, `orient-tuples` and `cyclic-gen` on each of the 93 angle subsets
   of {0, ..., 7} with 5 to 8 elements and on `fixtures:d47`;
 - `fan-check` on the barnette, d47, pentagon, square and triangle fixtures,
-  on cross4 with the +-e_i charmap, and on the Barnette and D4(7) maps each
-  under three seeded GL(4,Z) transforms, so every witness ray is pinned;
+  on cross4 with the +-e_i charmap, on the square with the map e1, e2, e1,
+  -e2 (two adjacent pairs that share no ridge, then two overlaps), and on
+  the Barnette and D4(7) maps each under three seeded GL(4,Z) transforms,
+  so every witness ray is pinned;
 - `fixtures` on each of the eight built-in fixtures.
 Re-record it, only when a report is meant to change, from the root of a
 checkout:
@@ -51,7 +53,7 @@ def gl4(seed):
 
 def write_charmap(path, vectors):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"kind": "charmap", "rank": 4, "vectors": vectors}, fh)
+        json.dump({"kind": "charmap", "rank": len(vectors[0]), "vectors": vectors}, fh)
     return path
 
 
@@ -63,6 +65,8 @@ def fan_runs():
     unit = [[int(i == j) for j in range(4)] for i in range(4)]
     cross = write_charmap("cross4.json", unit + [[-x for x in row] for row in unit])
     runs["fan-check cross4"] = run_cli(["fan-check", "fixtures:cross4", cross])
+    square = write_charmap("square.json", [[1, 0], [0, 1], [1, 0], [0, -1]])
+    runs["fan-check square ridges"] = run_cli(["fan-check", "fixtures:square", square])
     for name in ("barnette", "d47"):
         vectors = get_fixture(name).charmap.vectors
         for seed in FAN_SEEDS:
@@ -109,7 +113,7 @@ def test_reports_match_golden():
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert len(golden) == (
-        3 * 94 + len(FAN_FIXTURES) + 1 + 2 * len(FAN_SEEDS) + len(FIXTURE_NAMES)
+        3 * 94 + len(FAN_FIXTURES) + 2 + 2 * len(FAN_SEEDS) + len(FIXTURE_NAMES)
     )
     assert digests() == golden
     # only the angle subsets that yield a polar are cached, each once

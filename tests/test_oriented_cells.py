@@ -2,9 +2,10 @@
 
 That path stays here as the oracle: `cell_label` on each tuple plus a sort
 for the report labels, `Gf2System.of` on frozenset supports plus
-`gf2_solve` for the flip system, `vertex_sign` (through `det_int`) for the
-signs, and `ridge_conflicts`, which compares every pair of tuples, for
-coherence.  Each check runs on every oriented fixture and on seeded
+`gf2_solve` for the flip system, and `ridge_conflicts`, which compares
+every pair of tuples, for coherence.  The signs are checked against
+`ray_oracle.det`, a cofactor expansion that shares no code with the
+Bareiss kernel.  Each check runs on every oriented fixture and on seeded
 relabelings of it: carriers renamed, cells reordered, and each cell's
 labels listed in another order.
 """
@@ -15,7 +16,7 @@ import pytest
 
 from qtoric.charmap import (
     CharacteristicMap, almost_complex_check, apply_flip, cell_label, flip_system,
-    sign_pattern, vertex_sign,
+    sign_pattern,
 )
 from qtoric.complexes import (
     OrientationData, OrientedCells, SimplePolytope, SimplicialComplex, coherent_orientation
@@ -24,6 +25,7 @@ from qtoric.errors import IncoherentOrientationError, ValidationError
 from qtoric.exactnum import Gf2System, gf2_solve
 from qtoric.fixtures import d47_orientation, d47_polar, get_fixture
 
+from ray_oracle import det
 from test_acceptance import ridge_conflicts
 from test_cli import EXTRA_MAPS, ORIENTED
 
@@ -82,7 +84,7 @@ IDS = [case[0] for case in CASES]
 
 
 def oracle_signs(cm, orientation):
-    return tuple(vertex_sign(cm, t) for t in orientation.tuples)
+    return tuple(det([cm.vector(i) for i in t]) for t in orientation.tuples)
 
 
 @pytest.mark.parametrize("name, structure, orientation, cm", CASES, ids=IDS)
