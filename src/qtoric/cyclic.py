@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, TypeAlias
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeAlias
 
 from .complexes import (
     OrientationData, SimplePolytope, SimplicialComplex, cell_label, dualize, permutation_parity,
@@ -137,9 +137,12 @@ def gale_facets(n: int, d: int = 4) -> List[Tuple[int, ...]]:
     return out
 
 
-def _lifted(points: Sequence[Vector]) -> Tuple[List[List[Z2]], bool]:
-    """The rows (L p, L) in Z[sqrt 2], and whether any entry is a Sqrt2Number."""
+def _lifted(points: Iterable[Vector]) -> Tuple[List[List[Z2]], bool]:
+    """The rows (L p, L) in Z[sqrt 2], and whether any entry is a Sqrt2Number.
+    Raises ValidationError when there are no points."""
     rows, scale, sqrt2 = clear_denominators(points)
+    if not rows:
+        raise ValidationError("no points: a hull needs at least one point")
     return [row + [(scale, 0)] for row in rows], sqrt2
 
 
@@ -184,7 +187,7 @@ def _hull(lifted: Sequence[List[Z2]]) -> Tuple[List[Tuple], Optional[List[Z2]]]:
     return faces, dets if faces else None
 
 
-def contains_origin_interior(points: Sequence[Sequence]) -> bool:
+def contains_origin_interior(points: Iterable[Sequence]) -> bool:
     """Whether 0 lies in the interior of the convex hull of the points, exactly.
 
     Requires the points to span the ambient space (else RankError); 0 is
@@ -212,7 +215,7 @@ class PolarPolytope(Value):
 
 
 def build_polar_from_points(
-    points: Sequence[Sequence],
+    points: Iterable[Sequence],
     expected_facets: Optional[Sequence[Tuple[int, ...]]] = None,
 ) -> PolarPolytope:
     """Polar dual of conv(points) for points spanning R^d with 0 interior.

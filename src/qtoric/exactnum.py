@@ -271,12 +271,14 @@ def is_primitive(vector: Sequence[int]) -> bool:
 Z2 = Tuple[int, int]
 
 
-def clear_denominators(rows: Sequence[Sequence]) -> Tuple[List[List[Z2]], int, bool]:
+def clear_denominators(rows: Iterable[Iterable]) -> Tuple[List[List[Z2]], int, bool]:
     """Entries (ints, Fractions or Sqrt2Numbers) as Z[sqrt 2] pairs times L.
 
     Returns (pairs, L, sqrt2): L is the least common multiple of every
-    denominator, and sqrt2 says whether any entry is a Sqrt2Number.
+    denominator, and sqrt2 says whether any entry is a Sqrt2Number.  The
+    rows are read once, so they may come from an iterator.
     """
+    rows = [tuple(row) for row in rows]
     sqrt2 = any(isinstance(x, Sqrt2Number) for row in rows for x in row)
     parts = [
         [(x.rat, x.sqrt2) if isinstance(x, Sqrt2Number) else (_frac(x), 0) for x in row]
@@ -448,9 +450,12 @@ def strict_feasibility(rows: Sequence[Sequence[Rationalish]]) -> Optional[Tuple[
     so each row's right-hand side is -sum(row), and runs a phase-1 simplex
     with one artificial per row and Bland's rule (lowest eligible index),
     which guarantees termination; ratio-test ties go to the lowest basic
-    variable.  Int entries stay ints, right-hand sides and objective row
-    included, until a pivot divides them; only a Fraction or bool entry
-    starts as a Fraction.  The ratio test compares b_i / a_i by
+    variable.  Int entries start as ints, right-hand sides and objective
+    row included; only a Fraction or bool entry starts as a Fraction.  A
+    pivot p scales its row by inv = Fraction(1) / p, so every nonzero
+    entry of the pivot row becomes a Fraction, even when p is +-1, and so
+    does every entry that the pivot's update of another row or the
+    objective row changes.  The ratio test compares b_i / a_i by
     cross-multiplying, b_i a_best < b_best a_i, so it divides nothing, and
     the pivots are those of an all-Fraction tableau.  Each pivot collects
     the pivot row's nonzero columns once and updates the pivot row, the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import index
+from operator import index, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charmap import CharacteristicMap, _check_coverage
@@ -29,7 +29,8 @@ class SimplicialCone(Value):
     the inner normal of the facet opposite generator r, positive on that
     generator and zero on the rest.  multiplicity is |det G|, so that
     G^-1 = S / multiplicity.  The cone is compared and printed by its
-    generators only.
+    generators only, so its memo of products S g, keyed by the generator g
+    of another cone and filled by the facet scan, changes neither.
     """
 
     _fields = ("generators",)
@@ -44,7 +45,7 @@ class SimplicialCone(Value):
             raise ConeDegeneracyError(f"generators {generators} are linearly dependent")
         sign = 1 if det > 0 else -1
         self.__dict__.update(normals=tuple(tuple(sign * x for x in r) for r in adj),
-                             multiplicity=abs(det))
+                             multiplicity=abs(det), _products={})
 
     @classmethod
     def of(cls, generators: Sequence[Sequence[int]]):
@@ -84,14 +85,27 @@ def cone_membership(
     return inside, interior, coeffs
 
 
+def _facet_products(c: SimplicialCone, g: Tuple[int, ...]) -> Tuple[int, ...]:
+    """S g, one product per facet normal of c."""
+    return tuple(sum(map(mul, row, g)) for row in c.normals)
+
+
 def _scan(x: SimplicialCone, y: SimplicialCone) -> Optional[bool]:
     """S_y X row by row, where the interior of y is {p : S_y p > 0}: None at
     the first row with no positive entry, a facet of y that separates the
     interiors (sound, not complete), else whether S_y X 1 > 0, that is
-    whether X 1, strictly inside x, is strictly inside y as well."""
+    whether X 1, strictly inside x, is strictly inside y as well.  y keeps
+    S_y g for each generator g it has met, so a cone of a fan computes its
+    products with each distinct generator once."""
+    memo = y._products
+    columns = []
+    for g in x.generators:
+        column = memo.get(g)
+        if column is None:
+            column = memo[g] = _facet_products(y, g)
+        columns.append(column)
     interior = True
-    for row in y.normals:
-        dots = [sum(s * g for s, g in zip(row, gen)) for gen in x.generators]
+    for dots in zip(*columns):
         if max(dots) <= 0:
             return None
         if sum(dots) <= 0:

@@ -18,6 +18,10 @@ cones_overlap_interior is fanchk.cones_overlap_interior before the facet
 scan: one positive-kernel LP on [A | -B] for every cone pair.  It is the
 oracle for the verdicts and witness rays of the scan path; ray_oracle.py
 decides the same verdicts without this LP.
+
+scan is fanchk._scan before each cone kept a memo of its facet-normal
+products: it recomputes S_y g for every generator g of x on every call.  It
+is the oracle for the memoized scan's None/True/False result.
 """
 
 from dataclasses import dataclass
@@ -286,3 +290,16 @@ def cones_overlap_interior(a, b):
     # integer data, so the LP ran over Q and the witness ray is rational
     x = witness[:n]
     return True, tuple(sum(g * xj for g, xj in zip(row, x)) for row in arows)
+
+
+def scan(x, y):
+    """S_y X row by row: None at the first row with no positive entry,
+    else whether every row of S_y X has a positive sum."""
+    interior = True
+    for row in y.normals:
+        dots = [sum(s * g for s, g in zip(row, gen)) for gen in x.generators]
+        if max(dots) <= 0:
+            return None
+        if sum(dots) <= 0:
+            interior = False
+    return interior

@@ -248,6 +248,28 @@ class TestOriginInterior:
         with pytest.raises(RankError):
             contains_origin_interior([[1, 0], [2, 0], [-1, 0]])
 
+    @pytest.mark.parametrize("build", [contains_origin_interior, build_polar_from_points],
+                             ids=["origin", "polar"])
+    def test_empty_point_set_rejected(self, build):
+        # _hull read lifted[0] and raised a bare IndexError
+        with pytest.raises(ValidationError, match="^no points: a hull needs at least one point$"):
+            build([])
+        with pytest.raises(ValidationError, match="^no points"):
+            build(iter([]))
+
+    def test_points_from_an_iterator(self):
+        # the denominators were cleared in two passes over the points, so an
+        # iterator reached the second pass empty
+        square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        separated = [[1, 0], [1, 1], [1, -1]]
+        assert contains_origin_interior(iter(square))
+        assert contains_origin_interior(iter(p) for p in square)
+        assert not contains_origin_interior(iter(separated))
+        seven = CaratheodoryRealization.of(range(7)).points
+        assert contains_origin_interior(iter(seven))
+        assert build_polar_from_points(iter(square)) == build_polar_from_points(square)
+        assert build_polar_from_points(iter(seven)) == build_polar_from_points(seven)
+
     def test_agrees_with_lp(self):
         decided = {True: 0, False: 0}
         for points in random_point_sets(7, 150):

@@ -24,6 +24,7 @@ from qtoric.fanchk import (
 from qtoric.fixtures import FIXTURE_NAMES, d47_polar, get_fixture
 
 from field_oracle import cones_overlap_interior as lp_overlap_oracle
+from field_oracle import scan as scan_oracle
 from ray_oracle import overlap_by_extreme_rays, strictly_inside
 from test_golden_cyclic import FAN_SEEDS, gl4
 
@@ -291,7 +292,10 @@ class TestFanCheckLpTraffic:
 
 
 def fixture_cones(case):
-    """The cones of the Barnette, D4(7) or cross4 (+-e_i) fan."""
+    """The cones of the Barnette, D4(7), cross4 (+-e_i) or pentagon fan."""
+    if case == "pentagon":
+        fx = get_fixture(case)
+        return cones_from_charmap(fx.polytope, fx.charmap)[0]
     if case == "cross4":
         unit = [[int(i == j) for j in range(4)] for i in range(4)]
         cm = CharacteristicMap.of(4, unit + [[-x for x in row] for row in unit])
@@ -334,6 +338,89 @@ class TestExtremeRayOracle:
             mapped = cones if u is None else [moved(u, c) for c in cones]
             verdicts = self.check(combinations(mapped, 2))
             assert verdicts[True] == overlapping
+
+
+class TestMemoizedScan:
+    """The facet scan reads S_y g from y's memo; the scan that recomputes
+    every product on every call is the oracle for its None/True/False."""
+
+    @staticmethod
+    def check(pairs):
+        results = Counter()
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                expected = scan_oracle(x, y)
+                # the first call may fill y's memo, the second reads it
+                assert fanchk._scan(x, y) == expected == fanchk._scan(x, y), (x, y)
+                results[expected] += 1
+        return results
+
+    @pytest.mark.parametrize("case, dim, expected", [
+        ("barnette", 4, {None, True, False}), ("d47", 4, {None, True, False}),
+        ("cross4", 4, {None}), ("pentagon", 2, {None, False}),
+    ])
+    def test_fixture_pairs_under_gl4(self, case, dim, expected):
+        cones = fixture_cones(case)
+        assert cones[0].dim == dim
+        moves = [gl4(seed) for seed in FAN_SEEDS] if dim == 4 else []
+        outcomes = set()
+        for u in [None] + moves:
+            mapped = cones if u is None else [moved(u, c) for c in cones]
+            outcomes |= set(self.check(combinations(mapped, 2)))
+        assert outcomes == expected
+
+    def test_seeded_pairs_with_shared_generators(self):
+        results = self.check(
+            pair
+            for _, a, b, u in seeded_cone_pairs(2003)
+            for pair in ((a, b), (moved(u, a), moved(u, b)))
+        )
+        assert min(results.values()) > 50, results
+
+
+class TestScanTraffic:
+    """On Barnette the fan check asks about each pair once, and each cone
+    computes its products with each distinct generator once."""
+
+    def test_barnette(self, monkeypatch):
+        fx = get_fixture("barnette")
+        cones, adjacency = cones_from_charmap(fx.complex, fx.charmap)
+        generators = {g for c in cones for g in c.generators}
+        assert (len(cones), len(generators)) == (19, 8)
+        pairs, columns = Counter(), Counter()
+        overlap, products = fanchk.cones_overlap_interior, fanchk._facet_products
+
+        def counted_overlap(a, b):
+            pairs[cones.index(a), cones.index(b)] += 1
+            return overlap(a, b)
+
+        def counted_products(c, g):
+            columns[id(c), g] += 1
+            return products(c, g)
+
+        monkeypatch.setattr(fanchk, "cones_overlap_interior", counted_overlap)
+        monkeypatch.setattr(fanchk, "_facet_products", counted_products)
+        ok, offenders = fan_properness(cones, adjacency)
+        assert not ok and len(offenders) == 83
+        assert pairs == Counter(combinations(range(19), 2))
+        assert len(pairs) == 171
+        assert set(columns.values()) == {1}
+        assert len(columns) <= 19 * 8
+        assert {c for c, _ in columns} <= {id(c) for c in cones}
+
+    def test_filled_memo_leaves_equality_hash_and_repr(self):
+        fx = get_fixture("barnette")
+        cones, adjacency = cones_from_charmap(fx.complex, fx.charmap)
+        fan_properness(cones, adjacency)
+        assert all(c._products for c in cones)
+        for c in cones:
+            fresh = SimplicialCone(c.generators)
+            assert not fresh._products
+            assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+        assert repr(cones[0]) == f"SimplicialCone(generators={cones[0].generators!r})"
+        # the memo lives on the cones of one call: the next call starts empty
+        again, _ = cones_from_charmap(fx.complex, fx.charmap)
+        assert again == cones and not any(c._products for c in again)
 
 
 class TestFanProperness:
