@@ -4,13 +4,16 @@ The same engine serves simple polytopes (vectors on facets, signs at
 vertices) and simplicial spheres (vectors on sphere vertices, signs at
 maximal simplices): in both cases there is a list of "cells", each a set of
 vector carriers, together with a positively ordered tuple per cell.
+Each cell's vectors are eliminated once, over its carriers in increasing
+order; a sign is that det times the parity of the cell's tuple.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .complexes import CellTable, OrientationData, OrientedCells, cell_label
+from .complexes import CellTable, OrientationData, OrientedCells
 from .errors import CoverageError, UnimodularityError, ValidationError
 from .exactnum import Gf2System, as_int, as_ints, bareiss_det, is_primitive
 from .values import Value
@@ -65,50 +68,40 @@ def _check_coverage(structure: CellTable, cm: CharacteristicMap) -> None:
     cells = structure.cells
     if cells and len(cells[0]) != cm.rank:
         raise CoverageError(
-            f"map has rank {cm.rank} but cell {cell_label(cells[0])} "
+            f"map has rank {cm.rank} but cell {structure.labels[0]} "
             f"has {len(cells[0])} carriers"
         )
 
 
-def _cell_det(vectors: Tuple[Tuple[int, ...], ...], ordered: Sequence[int]) -> int:
-    """det of the vectors at these labels, which must be n labels in 1..m
-    for vectors of length n; as columns it equals det of them as rows.  The
-    rank-0 map on a 0-dimensional polytope has one empty cell, of det 1."""
-    rows = [list(vectors[i - 1]) for i in ordered]
-    return bareiss_det(rows) if rows else 1
-
-
-def _unimodular(d: int, ordered: Sequence[int]) -> int:
-    if abs(d) != 1:
-        raise UnimodularityError(
-            f"cell {tuple(ordered)} has det {d}, not a unimodular minor"
-        )
-    return d
+def _cell_dets(structure: CellTable, cm: CharacteristicMap) -> Tuple[int, ...]:
+    """det of each cell's vectors in increasing carrier order, as rows or as
+    columns; the rank-0 map's one empty cell has det 1."""
+    # the coverage check fixes n-sized cells with labels in 1..m
+    _check_coverage(structure, cm)
+    return tuple(bareiss_det([list(cm.vectors[i - 1]) for i in t]) if t else 1
+                 for t in structure.ordered)
 
 
 def unimodularity_check(
     structure: CellTable, cm: CharacteristicMap
 ) -> Tuple[bool, List[Tuple[str, int]]]:
     """|det| = 1 at every cell; returns (pass, offenders with their det)."""
-    # the coverage check fixes n-sized cells with labels in 1..m
-    _check_coverage(structure, cm)
-    offenders = []
-    for cell in structure.cells:
-        d = _cell_det(cm.vectors, sorted(cell))
-        if abs(d) != 1:
-            offenders.append((cell_label(cell), d))
+    dets = _cell_dets(structure, cm)
+    offenders = [(label, d) for label, d in zip(structure.labels, dets) if abs(d) != 1]
     return (not offenders, offenders)
 
 
 def sign_pattern(
     structure: CellTable, cm: CharacteristicMap, orientation: OrientationData
 ) -> SignPattern:
-    """Per-cell signs, in the orientation's cell order."""
-    # the two checks fix n-sized tuples with labels in 1..m
-    _check_coverage(structure, cm)
-    tuples = OrientedCells.of(structure, orientation).tuples
-    vectors = cm.vectors
-    return tuple(_unimodular(_cell_det(vectors, t), t) for t in tuples)
+    """Per-cell signs: the dets in tuple order, each +-1, in cell order."""
+    dets = _cell_dets(structure, cm)
+    table = OrientedCells.of(structure, orientation)
+    signs = tuple(map(mul, table.parities, dets))
+    for t, s in zip(table.tuples, signs):
+        if abs(s) != 1:
+            raise UnimodularityError(f"cell {t} has det {s}, not a unimodular minor")
+    return signs
 
 
 def almost_complex_check(
@@ -116,8 +109,7 @@ def almost_complex_check(
 ) -> Tuple[bool, List[str]]:
     """True iff every sign is +1; offenders are reported by label."""
     signs = sign_pattern(structure, cm, orientation)
-    labels = OrientedCells.of(structure, orientation).labels
-    offenders = [label for label, s in zip(labels, signs) if s == -1]
+    offenders = [label for label, s in zip(structure.labels, signs) if s == -1]
     return (not offenders, offenders)
 
 
@@ -131,8 +123,7 @@ def flip_system(
     equation per cell with right-hand side 1 exactly when sigma(v) = -1.
     """
     signs = sign_pattern(structure, cm, orientation)
-    masks = OrientedCells.of(structure, orientation).masks
-    rows = tuple((mask, 1 if s == -1 else 0) for mask, s in zip(masks, signs))
+    rows = tuple((mask, 1 if s == -1 else 0) for mask, s in zip(structure.masks, signs))
     return Gf2System(structure.num_carriers, rows)
 
 

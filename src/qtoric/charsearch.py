@@ -12,7 +12,7 @@ outside it.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charmap import CharacteristicMap
@@ -105,13 +105,11 @@ def normalize_map(
     return CharacteristicMap(n, vectors)
 
 
-def candidate_vectors(rank: int, bound: int) -> List[Tuple[int, ...]]:
-    """All primitive vectors with entries in [-bound, bound], lexicographic."""
-    out = []
-    for v in product(range(-bound, bound + 1), repeat=rank):
-        if any(v) and is_primitive(v):
-            out.append(v)
-    return out
+def candidate_vectors(rank: int, bound: int, limit: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """The first `limit` (None: all) primitive vectors with entries in
+    [-bound, bound], lexicographic; none past the limit is built."""
+    box = product(range(-bound, bound + 1), repeat=rank)
+    return list(islice((v for v in box if any(v) and is_primitive(v)), limit))
 
 
 def assignment_order(
@@ -178,7 +176,8 @@ def search(structure: CellTable, orientation: OrientationData,
     vectors: List[Optional[Tuple[int, ...]]] = [None] * (structure.num_carriers + 1)
     for k, carrier in enumerate(config.base_vertex):
         vectors[carrier] = tuple(1 if i == k else 0 for i in range(n))
-    candidates = candidate_vectors(n, config.bound)
+    # candidate k at any depth comes after k nodes, so none past k = budget is read
+    candidates = candidate_vectors(n, config.bound, config.node_budget + 1)
     result = SearchResult()
 
     def dfs(depth: int) -> bool:

@@ -15,7 +15,8 @@ the inputs, builds the report envelope ``{"check", "verdict", "details",
 
 What depends only on process-cached objects is done once per process: the
 parser, each fixture, the polar of an angle tuple and the encoded details
-of ``polar``, ``cyclic-gen`` and ``orient-tuples`` on it, and each cached
+of ``polar``, ``cyclic-gen`` and ``orient-tuples`` on it, each cached
+structure's cell labels, ordered carriers and bitmasks, and each cached
 orientation's checked `OrientedCells` table.  A document read from a file
 is a new object, so it is decoded and checked on every call.
 """
@@ -32,7 +33,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from . import charmap as cm_mod
 from . import charsearch, complexes, cyclic, fanchk
 from .charsearch import GOALS, SearchConfig
-from .complexes import OrientationData, OrientedCells, cell_label
+from .complexes import OrientationData
 from .cyclic import CaratheodoryRealization
 from .documents import (
     Fragment, canonical_json, document_to_obj, fraction_to_json, fragment, parse_document,
@@ -258,7 +259,7 @@ def _cmd_signs(ctx: SimpleNamespace, args) -> Result:
     orientation = _orientation(ctx)
     signs = cm_mod.sign_pattern(structure, cm, orientation)
     # sorted as (label, sign) pairs: {1, 23} and {12, 3} both read "123"
-    by_vertex = sorted(zip(OrientedCells.of(structure, orientation).labels, signs))
+    by_vertex = sorted(zip(structure.labels, signs))
     ok = all(s == 1 for s in signs)
     verdict = [{"sign": s, "vertex": v} for v, s in by_vertex]
     return verdict, {"all_positive": ok}, _exit(ok)
@@ -281,8 +282,7 @@ def _cmd_flip_solve(ctx: SimpleNamespace, args) -> Result:
         flip = list(cm_mod.flip_from_bits(result.solution))
         details = {"flip": flip, "solution_space_dimension": result.dimension}
         return "feasible", details, EXIT_OK
-    labels = OrientedCells.of(structure, orientation).labels
-    contradictory = sorted(labels[i - 1] for i in result.certificate)
+    contradictory = sorted(structure.labels[i - 1] for i in result.certificate)
     return "infeasible", {"contradictory_vertices": contradictory}, EXIT_CHECK_FAILED
 
 
@@ -291,12 +291,10 @@ def _cmd_fan_check(ctx: SimpleNamespace, args) -> Result:
     cm = _need(ctx.charmap, "a charmap document")
     cones, adjacency = fanchk.cones_from_charmap(structure, cm)
     ok, offenders = fanchk.fan_properness(cones, adjacency)
-    cells = structure.cells
     detail = []
     for off in offenders:
-        i, j = off["pair"]
         entry: Dict[str, Any] = {
-            "pair": [cell_label(cells[i - 1]), cell_label(cells[j - 1])],
+            "pair": [structure.labels[k - 1] for k in off["pair"]],
             "reason": off["reason"],
         }
         ray = off.get("witness_ray")

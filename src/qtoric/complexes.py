@@ -6,12 +6,12 @@ Indices are 1-based everywhere (vertices 1..num_vertices, facets
 Both structures are a `CellTable`: the cells that carry a sign (a
 polytope's vertices as facet sets, a complex's facets as vertex sets) over
 the carriers 1..num_carriers, checked by one validation pass.  A structure
-computes its ridge map, and a complex its pseudomanifold offenders,
-coherent orientation and f-vector, on first use and keeps them (immutable
-values), so a structure that is used again, like a process-cached fixture,
-computes each at most once.  A failure is not kept: asking again recomputes
-and raises again.  An orientation keeps, the same way, its checked
-`OrientedCells` table for the structure it orients.
+computes its per-cell facts and ridge map, and a complex its pseudomanifold
+offenders, coherent orientation and f-vector, on first use and keeps them
+(immutable values), so a structure that is used again, like a
+process-cached fixture, computes each at most once.  A failure is not kept:
+asking again recomputes and raises again.  An orientation keeps, the same
+way, its checked `OrientedCells` table (tuples and parities).
 """
 
 from __future__ import annotations
@@ -32,10 +32,25 @@ Cells = Tuple[FrozenSet[int], ...]
 
 class CellTable:
     """What the sign, flip, fan and search engines read of a structure:
-    `cells`, `num_carriers` and the ridge map."""
+    `cells`, `num_carriers`, the facts per cell and the ridge map."""
 
     cells: Cells
     num_carriers: int
+
+    @cached_property
+    def ordered(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each cell's carriers in increasing order."""
+        return tuple(tuple(sorted(cell)) for cell in self.cells)
+
+    @cached_property
+    def labels(self) -> Tuple[str, ...]:
+        """Each cell's label: its ordered carriers run together."""
+        return tuple("".join(map(str, t)) for t in self.ordered)
+
+    @cached_property
+    def masks(self) -> Tuple[int, ...]:
+        """Each cell's carrier bitmask, carrier i at bit i - 1."""
+        return tuple(sum(1 << (i - 1) for i in cell) for cell in self.cells)
 
     @cached_property
     def ridges(self) -> Mapping[FrozenSet[int], Tuple[int, ...]]:
@@ -122,13 +137,12 @@ class SimplicialComplex(CellTable, Value):
             raise ValidationError(
                 f"not a pseudomanifold: ridges {list(self.offending_ridges)}"
             )
-        ridges = self.ridges
-        sorted_facets = [tuple(sorted(f)) for f in self.facets]
+        ridges, ordered = self.ridges, self.ordered
         sign: Dict[int, int] = {0: 1}
         queue = [0]
         while queue:
             cur = queue.pop(0)
-            for v in sorted_facets[cur]:
+            for v in ordered[cur]:
                 ridge = self.facets[cur] - {v}
                 owners = ridges[ridge]
                 other = owners[0] if owners[1] == cur else owners[1]
@@ -144,7 +158,7 @@ class SimplicialComplex(CellTable, Value):
         if len(sign) != len(self.facets):
             raise ValidationError("complex is not connected")
         return OrientationData(tuple(
-            f if sign[idx] > 0 else swapped(f) for idx, f in enumerate(sorted_facets)
+            f if sign[idx] > 0 else swapped(f) for idx, f in enumerate(ordered)
         ))
 
 
@@ -187,18 +201,18 @@ class OrientationData(Value):
 
 
 class OrientedCells(Value):
-    """Per cell of a structure: its tuple of a checked orientation, its
-    label (sorted carriers run together) and its carrier bitmask (carrier i
-    at bit i - 1).  The check: each tuple orders its cell, in cell order,
-    and on each ridge the two cells induce opposite orientations."""
+    """Per cell of a structure: its tuple of a checked orientation and the
+    tuple's parity against the cell's carriers in increasing order (-1 for
+    an odd permutation).  The check: each tuple orders its cell, in cell
+    order, and on each ridge the two cells induce opposite orientations."""
 
-    _fields = ("structure", "tuples", "labels", "masks")
+    _fields = ("structure", "tuples", "parities")
     # equal only to itself: the table is kept for one structure object
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, structure: CellTable, tuples: Tuple[Tuple[int, ...], ...],
-                 labels: Tuple[str, ...], masks: Tuple[int, ...]):
-        self.__dict__.update(structure=structure, tuples=tuples, labels=labels, masks=masks)
+                 parities: Tuple[int, ...]):
+        self.__dict__.update(structure=structure, tuples=tuples, parities=parities)
 
     @classmethod
     def of(cls, structure: CellTable, orientation: OrientationData) -> "OrientedCells":
@@ -215,19 +229,16 @@ class OrientedCells(Value):
                 raise ValidationError(
                     f"orientation tuple {t} is not a permutation of cell {sorted(cell)}"
                 )
-        parities = [_parity(t) for t in tuples]
+        parities = tuple(map(_parity, tuples))
         # a one-label cell has one order only, so the empty ridge is skipped
         for ridge, owners in structure.ridges.items():
             for a, b in combinations(owners, 2):
                 if ridge and (_induced(cells[a], parities[a], ridge)
                               == _induced(cells[b], parities[b], ridge)):
                     raise IncoherentOrientationError(tuples[a], tuples[b], ridge)
-        masks = tuple(sum(1 << (i - 1) for i in cell) for cell in cells)
         # written into the frozen orientation's __dict__, as
         # functools.cached_property writes a computed attribute
-        kept = orientation.__dict__["_cells"] = cls(
-            structure, tuples, tuple(map(cell_label, cells)), masks
-        )
+        kept = orientation.__dict__["_cells"] = cls(structure, tuples, parities)
         return kept
 
 

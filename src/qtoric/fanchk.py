@@ -176,10 +176,10 @@ def fan_properness(
 def cones_from_charmap(
     structure: CellTable, cm: CharacteristicMap
 ) -> Tuple[List[SimplicialCone], List[Tuple[int, int]]]:
-    """One cone per cell (generators = its vectors), and the sorted 1-based
-    pairs of cells that share a ridge."""
+    """One cone per cell (generators = its vectors in carrier order), and the
+    sorted 1-based pairs of cells that share a ridge."""
     _check_coverage(structure, cm)
-    cones = [SimplicialCone.of([cm.vector(i) for i in sorted(cell)]) for cell in structure.cells]
+    cones = [SimplicialCone(tuple(cm.vectors[i - 1] for i in t)) for t in structure.ordered]
     adjacency = sorted(
         (a + 1, b + 1)
         for owners in structure.ridges.values() for a, b in combinations(owners, 2)

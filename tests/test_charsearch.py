@@ -266,6 +266,32 @@ class TestSearch:
         result = search(fx.polytope, fx.orientation, config)
         assert result.nodes == 0 and not result.solutions and not result.exhaustive
 
+    def test_node_budget_bounds_the_candidates_built(self, monkeypatch):
+        # all (2B+1)^n vectors of the box were built before the first node,
+        # here 1201^2 of them for 10 nodes
+        built = []
+        enumerate_all = charsearch.candidate_vectors
+
+        def counted(*args):
+            out = enumerate_all(*args)
+            built.append(len(out))
+            return out
+
+        checked = []
+
+        def counted_primitive(v):
+            checked.append(v)
+            return is_primitive(v)
+
+        monkeypatch.setattr(charsearch, "candidate_vectors", counted)
+        monkeypatch.setattr(charsearch, "is_primitive", counted_primitive)
+        fx = get_fixture("triangle")
+        config = SearchConfig(bound=600, base_vertex=(1, 2), node_budget=10)
+        result = search(fx.polytope, fx.orientation, config)
+        assert result.nodes == 10 and not result.exhaustive
+        assert built == [11]
+        assert len(checked) < 50
+
     def test_nodes_monotone_in_bound(self):
         fx = get_fixture("square")
         nodes = []

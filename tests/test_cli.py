@@ -15,9 +15,9 @@ import qtoric.charmap
 import qtoric.cli as cli
 import qtoric.complexes
 import qtoric.cyclic
-from qtoric.charmap import CharacteristicMap, cell_label, sign_pattern
+from qtoric.charmap import CharacteristicMap, sign_pattern
 from qtoric.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
-from qtoric.complexes import OrientationData, OrientedCells, coherent_orientation
+from qtoric.complexes import OrientationData, OrientedCells, cell_label, coherent_orientation
 from qtoric.cyclic import polar_of_angles
 from qtoric.documents import canonical_json, serialize_document
 from qtoric.errors import IncoherentOrientationError, QtoricError

@@ -4,11 +4,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from qtoric import charmap, charsearch, exactnum, fanchk
 from qtoric.charmap import CharacteristicMap
+from qtoric.complexes import CellTable, SimplicialComplex, coherent_orientation
 from qtoric.errors import DimensionError, ValidationError
 from qtoric.exactnum import (
     SQRT2_ZERO,
@@ -278,6 +280,40 @@ class TestAdjugate:
         cones, _ = cones_from_charmap(fx.complex, fx.charmap)
         assert len(cones) == 19
         assert calls == {"adjugate": 19}
+
+    def test_signs_cost_one_elimination_per_cell_and_cell_facts_once(self, monkeypatch):
+        # a sign read off a cone, or a det per cell and orientation, would
+        # show here as adjugate, SimplicialCone or extra bareiss_det calls
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module in (exactnum, charmap, charsearch, fanchk):
+            for name in ("bareiss_det", "det_int", "adjugate"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(fanchk.SimplicialCone, "__init__",
+                            counted("SimplicialCone", fanchk.SimplicialCone.__init__))
+        for name in ("ordered", "labels", "masks"):
+            prop = cached_property(counted(name, getattr(CellTable, name).func))
+            prop.__set_name__(CellTable, name)
+            monkeypatch.setattr(CellTable, name, prop)
+        fx = get_fixture("barnette")
+        # a new structure object, so that nothing is kept on it yet
+        structure = SimplicialComplex.of(fx.complex.num_vertices, fx.complex.facets)
+        orientation = coherent_orientation(structure)
+        charmap.sign_pattern(structure, fx.charmap, orientation)
+        assert calls == {"bareiss_det": 19, "ordered": 1}
+        for _ in range(2):
+            charmap.sign_pattern(structure, fx.charmap, orientation)
+            charmap.almost_complex_check(structure, fx.charmap, orientation)
+            charmap.flip_system(structure, fx.charmap, orientation)
+        assert calls == {"bareiss_det": 7 * 19, "ordered": 1, "labels": 1, "masks": 1}
 
 
 class TestIntegerEntries:

@@ -8,6 +8,10 @@ golden_cyclic.json holds the sha256 of stdout, the exit code and stderr of
   -e2 (two adjacent pairs that share no ridge, then two overlaps), and on
   the Barnette and D4(7) maps each under three seeded GL(4,Z) transforms,
   so every witness ray is pinned;
+- `signs`, `almost-complex`, `flip-solve`, `check-unimodular` and
+  `fan-check` on the square with the map (1,0), (0,1), (-1,1), (-1,2),
+  whose cell {1, 4} has det 2 over its sorted carriers and -2 over its
+  oriented tuple (4, 1), so the sign of each error message is pinned;
 - `fixtures` on each of the eight built-in fixtures.
 Re-record it, only when a report is meant to change, from the root of a
 checkout:
@@ -33,6 +37,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cyclic
 COMMANDS = ("polar", "orient-tuples", "cyclic-gen")
 FAN_FIXTURES = ("barnette", "d47", "pentagon", "square", "triangle")
 FAN_SEEDS = (1, 2, 3)
+SQUARE2_COMMANDS = ("signs", "almost-complex", "flip-solve", "check-unimodular", "fan-check")
 
 
 def angle_subsets():
@@ -77,6 +82,16 @@ def fan_runs():
     return runs
 
 
+def square2_runs():
+    """Runs keyed by "<command> square2" on the square with a map that is
+    not unimodular at the vertex whose tuple is not in increasing order."""
+    square2 = write_charmap("square2.json", [[1, 0], [0, 1], [-1, 1], [-1, 2]])
+    return {
+        f"{command} square2": run_cli([command, "fixtures:square", square2])
+        for command in SQUARE2_COMMANDS
+    }
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -102,6 +117,7 @@ def digests():
             for command in COMMANDS:
                 runs[f"{command} fixtures:d47"] = run_cli([command, "fixtures:d47"])
             runs.update(fan_runs())
+            runs.update(square2_runs())
             for name in FIXTURE_NAMES:
                 runs[f"fixtures {name}"] = run_cli(["fixtures", name])
         finally:
@@ -113,7 +129,8 @@ def test_reports_match_golden():
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert len(golden) == (
-        3 * 94 + len(FAN_FIXTURES) + 2 + 2 * len(FAN_SEEDS) + len(FIXTURE_NAMES)
+        3 * 94 + len(FAN_FIXTURES) + 2 + 2 * len(FAN_SEEDS) + len(SQUARE2_COMMANDS)
+        + len(FIXTURE_NAMES)
     )
     assert digests() == golden
     # only the angle subsets that yield a polar are cached, each once

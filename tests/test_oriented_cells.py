@@ -1,9 +1,11 @@
-"""The oriented cell table against the per-call path it replaced.
+"""The oriented cell table and the structure's cell facts against the
+per-call path they replaced.
 
 That path stays here as the oracle: `cell_label` on each tuple plus a sort
 for the report labels, `Gf2System.of` on frozenset supports plus
-`gf2_solve` for the flip system, and `ridge_conflicts`, which compares
-every pair of tuples, for coherence.  The signs are checked against
+`gf2_solve` for the flip system, an inversion count for each tuple's
+parity, and `ridge_conflicts`, which compares every pair of tuples, for
+coherence.  The determinants and signs are checked against
 `ray_oracle.det`, a cofactor expansion that shares no code with the
 Bareiss kernel.  Each check runs on every oriented fixture and on seeded
 relabelings of it: carriers renamed, cells reordered, and each cell's
@@ -15,13 +17,14 @@ import random
 import pytest
 
 from qtoric.charmap import (
-    CharacteristicMap, almost_complex_check, apply_flip, cell_label, flip_system,
-    sign_pattern,
+    CharacteristicMap, _cell_dets, almost_complex_check, apply_flip, flip_system, sign_pattern,
 )
+from qtoric.charsearch import candidate_vectors
 from qtoric.complexes import (
-    OrientationData, OrientedCells, SimplePolytope, SimplicialComplex, coherent_orientation
+    OrientationData, OrientedCells, SimplePolytope, SimplicialComplex, cell_label,
+    coherent_orientation,
 )
-from qtoric.errors import IncoherentOrientationError, ValidationError
+from qtoric.errors import IncoherentOrientationError, UnimodularityError, ValidationError
 from qtoric.exactnum import Gf2System, gf2_solve
 from qtoric.fixtures import d47_orientation, d47_polar, get_fixture
 
@@ -83,6 +86,11 @@ CASES = cases()
 IDS = [case[0] for case in CASES]
 
 
+def inversion_parity(t):
+    """(-1) ** the number of pairs out of increasing order."""
+    return (-1) ** sum(t[i] > t[j] for i in range(len(t)) for j in range(i + 1, len(t)))
+
+
 def oracle_signs(cm, orientation):
     return tuple(det([cm.vector(i) for i in t]) for t in orientation.tuples)
 
@@ -92,17 +100,20 @@ class TestTableAgainstPerCallPath:
     def test_tuples_labels_and_masks(self, name, structure, orientation, cm):
         table = OrientedCells.of(structure, orientation)
         assert table.tuples == orientation.tuples
-        assert table.labels == tuple(cell_label(t) for t in orientation.tuples)
+        assert structure.labels == tuple(cell_label(t) for t in orientation.tuples)
         m = structure.num_carriers
-        for mask, cell in zip(table.masks, structure.cells):
+        for mask, cell in zip(structure.masks, structure.cells):
             assert {i for i in range(1, m + 1) if mask >> (i - 1) & 1} == cell
             assert mask >> m == 0
+
+    def test_parities(self, name, structure, orientation, cm):
+        parities = OrientedCells.of(structure, orientation).parities
+        assert parities == tuple(map(inversion_parity, orientation.tuples))
 
     def test_signs_and_their_report_order(self, name, structure, orientation, cm):
         signs = sign_pattern(structure, cm, orientation)
         assert signs == oracle_signs(cm, orientation)
-        labels = OrientedCells.of(structure, orientation).labels
-        assert sorted(zip(labels, signs)) == sorted(
+        assert sorted(zip(structure.labels, signs)) == sorted(
             (cell_label(t), s) for t, s in zip(orientation.tuples, signs)
         )
         ok, offenders = almost_complex_check(structure, cm, orientation)
@@ -119,7 +130,7 @@ class TestTableAgainstPerCallPath:
         result = gf2_solve(system)
         assert result == gf2_solve(oracle)
         if not result.feasible:
-            labels = OrientedCells.of(structure, orientation).labels
+            labels = structure.labels
             assert [labels[i - 1] for i in result.certificate] == [
                 cell_label(orientation.tuples[i - 1]) for i in result.certificate
             ]
@@ -142,6 +153,42 @@ class TestTableAgainstPerCallPath:
                 sign_pattern(structure, cm, swapped)
 
 
+def arbitrary_map(cm, rng):
+    """A map of the same rank and size with seeded primitive vectors of
+    entries in [-2, 2], so that its cells have dets 0, +-1 and larger."""
+    vectors = rng.choices(candidate_vectors(cm.rank, 2), k=len(cm.vectors))
+    return CharacteristicMap.of(cm.rank, vectors)
+
+
+DET_CASES = CASES + [
+    (f"{name}:any", structure, orientation, arbitrary_map(cm, random.Random(f"any:{name}")))
+    for name, structure, orientation, cm in CASES
+]
+
+
+@pytest.mark.parametrize("name, structure, orientation, cm", DET_CASES,
+                         ids=[case[0] for case in DET_CASES])
+class TestOneDeterminantPerCell:
+    def test_dets_over_sorted_carriers(self, name, structure, orientation, cm):
+        assert structure.ordered == tuple(tuple(sorted(cell)) for cell in structure.cells)
+        assert _cell_dets(structure, cm) == tuple(
+            det([cm.vector(i) for i in sorted(cell)]) for cell in structure.cells
+        )
+
+    def test_parity_times_det_is_the_tuple_det(self, name, structure, orientation, cm):
+        parities = OrientedCells.of(structure, orientation).parities
+        tuple_dets = [p * d for p, d in zip(parities, _cell_dets(structure, cm))]
+        assert tuple_dets == list(oracle_signs(cm, orientation))
+        bad = [(t, d) for t, d in zip(orientation.tuples, tuple_dets) if abs(d) != 1]
+        if not bad:
+            assert sign_pattern(structure, cm, orientation) == tuple(tuple_dets)
+            return
+        t, d = bad[0]
+        with pytest.raises(UnimodularityError) as err:
+            sign_pattern(structure, cm, orientation)
+        assert str(err.value) == f"cell {t} has det {d}, not a unimodular minor"
+
+
 @pytest.mark.parametrize("name", ORIENTED)
 def test_relabeling_permutes_the_signs(name):
     structure, orientation, cm = fixture_case(name)
@@ -161,7 +208,7 @@ class TestTableIsKept:
         copy = SimplicialComplex.of(structure.num_vertices, structure.facets)
         other = OrientedCells.of(copy, orientation)
         assert other is not table and other.structure is copy
-        assert (other.tuples, other.labels, other.masks) == (table.tuples, table.labels, table.masks)
+        assert (other.tuples, other.parities) == (table.tuples, table.parities)
 
     def test_failed_check_keeps_the_last_table(self):
         structure, orientation, _ = fixture_case("pentagon")

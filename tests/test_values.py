@@ -59,11 +59,11 @@ CASES = [
          {"reversed_seed": False},
          "OrientationData(tuples=((1, 2), (2, 3)), reversed_seed=True)",
          {"reversed_seed": False}),
-    Case(OrientedCells, {"structure": TRIANGLE, "tuples": ((1, 2),), "labels": ("12",),
-                         "masks": (3,)}, {"masks": (5,)},
+    Case(OrientedCells, {"structure": TRIANGLE, "tuples": ((1, 2),), "parities": (1,)},
+         {"parities": (-1,)},
          "OrientedCells(structure=SimplePolytope(num_facets=3, dimension=2, "
          "vertices=(frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}))), "
-         "tuples=((1, 2),), labels=('12',), masks=(3,))"),
+         "tuples=((1, 2),), parities=(1,))"),
     Case(CharacteristicMap, {"rank": 2, "vectors": ((1, 0), (0, 1))},
          {"vectors": ((1, 0), (1, 1))}, "CharacteristicMap(rank=2, vectors=((1, 0), (0, 1)))"),
     Case(SearchConfig, {"base_vertex": (1, 2), "bound": 2, "goal": "all_positive",
