@@ -17,7 +17,7 @@ way, its checked `OrientedCells` table (tuples and parities).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count, filterfalse, islice
 from math import comb
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -58,6 +58,9 @@ class CellTable:
         return _ridge_map(self.cells)
 
 
+_NAMED = 5  # unused carriers an error message names
+
+
 def _checked_cells(raw: Iterable[Iterable[int]], num_carriers: int, size: Optional[int],
                    cell: str, carrier: str, carriers: str) -> Cells:
     """The one validation pass of both structures: each cell is `size`
@@ -76,12 +79,16 @@ def _checked_cells(raw: Iterable[Iterable[int]], num_carriers: int, size: Option
             raise ValidationError(f"duplicate {cell} {sorted(c)}")
         cells[c] = None
     used = set().union(*cells)
-    expected = set(range(1, num_carriers + 1))
-    if used != expected:
-        stray = sorted(used - expected)
-        if stray:
-            raise ValidationError(f"{carrier} {stray[0]} out of range")
-        raise ValidationError(f"{carriers} {sorted(expected - used)} appear in no {cell}")
+    if used and not 0 < min(used) <= max(used) <= num_carriers:
+        stray = min(c for c in used if not 0 < c <= num_carriers)
+        raise ValidationError(f"{carrier} {stray} out of range")
+    # a document's num_carriers may be huge: walk up from 1 only as far as
+    # the first few unused labels, and count the rest
+    unused = num_carriers - len(used)
+    if unused:
+        named = list(islice(filterfalse(used.__contains__, count(1)), min(unused, _NAMED)))
+        more = f" and {unused - len(named)} more" if unused > len(named) else ""
+        raise ValidationError(f"{carriers} {named}{more} appear in no {cell}")
     return tuple(cells)
 
 

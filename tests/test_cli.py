@@ -3,7 +3,6 @@
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 from itertools import combinations
@@ -23,6 +22,7 @@ from qtoric.documents import canonical_json, serialize_document
 from qtoric.errors import IncoherentOrientationError, QtoricError
 from qtoric.fixtures import FIXTURE_NAMES, d47_orientation, d47_polar, get_fixture
 
+import cli_cases
 from test_acceptance import ridge_conflicts
 from test_complexes import check_coherence
 
@@ -412,7 +412,7 @@ class TestSearchCommand:
 # unimodular maps for the orientable fixtures that ship without one
 _UNIT = [[int(i == j) for j in range(4)] for i in range(4)]
 EXTRA_MAPS = {
-    "cross4": _UNIT + [[-x for x in row] for row in _UNIT],
+    "cross4": cli_cases.DOCUMENTS["cross4"]["vectors"],
     "simplex4": _UNIT + [[-1, -1, -1, -1]],
 }
 ORIENTED = tuple(name for name in FIXTURE_NAMES if name != "rp2_6")
@@ -540,6 +540,15 @@ class TestCellValidation:
         }))
         err = assert_input_error(capsys, command, str(path))
         assert err == "error: vertices [4, 5] appear in no facet\n"
+
+    def test_many_vertices_in_no_facet(self, capsys, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({
+            "kind": "simplicial_complex", "num_vertices": 300_000,
+            "facets": [[1, 2], [2, 3], [1, 3]],
+        }))
+        err = assert_input_error(capsys, "fvector", str(path))
+        assert err == "error: vertices [4, 5, 6, 7, 8] and 299992 more appear in no facet\n"
 
 
 class TestErrorsAndOutput:
@@ -706,38 +715,28 @@ class TestSharedParser:
             assert not subparser.get_default("inputs"), command
 
 
-WORKFLOW = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".github", "workflows", "tests.yml"
-)
+class TestCases:
+    """The console-script cases of tests/cli_cases.py give their exit codes."""
 
-# the argv lists of the console-script step in .github/workflows/tests.yml,
-# in its order, but for the lists that read a file the step writes ($cross4,
-# $square, $angles, $barnette, $config, $two_faults)
-CONSOLE_SCRIPT_ARGVS = [
-    "fixtures", "fvector fixtures:barnette", "polar fixtures:d47", "orient-tuples fixtures:d47",
-    "search fixtures:triangle --bound 1 --goal all-positive --base-vertex 1,2",
-    "search fixtures:d47 --bound 1 --goal unimodular --base-vertex 2,1,3,7 --max-printed 1000",
-    "search fixtures:d47 --bound 1 --goal all-positive --base-vertex 2,1,3,7",
-    "cyclic-gen fixtures:d47",
-    "orient fixtures:barnette", "orient fixtures:rp2_6",
-    "hvector fixtures:cross4", "dualize fixtures:simplex4",
-    "gale --n 7 --d 4", "fan-check fixtures:barnette", "fan-check fixtures:d47",
-    "fan-check fixtures:pentagon",
-    "signs fixtures:d47", "flip-solve fixtures:barnette",
-    "check-unimodular fixtures:pentagon", "almost-complex fixtures:pentagon",
-    "fixtures pentagon", "fixtures d47", "fixtures barnette", "fixtures triangle",
-    "fixtures square",
-    "gale --n 7 --bogus", "nosuchcommand", "--help",
-]
+    @pytest.mark.parametrize("case, code", cli_cases.CASES, ids=[c for c, _ in cli_cases.CASES])
+    def test_exit_code(self, capsys, tmp_path, case, code):
+        cli_cases.write_documents(tmp_path)
+        assert run_any(capsys, cli_cases.argv(case, tmp_path))[0] == code
+
+    def test_comparison_names_a_differing_case(self, tmp_path):
+        cli_cases.write_documents(tmp_path)
+        case = "orient {path}"
+        script = (
+            f"import sys; sys.path.insert(0, {cli_cases.SRC!r}); "
+            "from qtoric.cli import main; code = main(); {}sys.exit(code)"
+        )
+        same = [sys.executable, "-c", script.format("")]
+        assert cli_cases.differences(same, [case], tmp_path) == []
+        louder = [sys.executable, "-c", script.format("sys.stderr.write('x'); ")]
+        assert cli_cases.differences(louder, [case], tmp_path) == [case]
 
 
-def test_console_script_argvs_are_the_file_free_lists_of_the_step():
-    with open(WORKFLOW, encoding="utf-8") as fh:
-        loop = re.search(r"for args in (.*?); do", fh.read(), re.S)
-    step = re.findall(r'"([^"]*)"', loop.group(1))
-    assert sorted(argv for argv in step if "$" not in argv) == sorted(CONSOLE_SCRIPT_ARGVS)
-
-PARSE_ARGVS = [argv.split() for argv in CONSOLE_SCRIPT_ARGVS] + [
+PARSE_ARGVS = [cli_cases.argv(case, "") for case, _ in cli_cases.CASES] + [
     ["gale", "--n", "x"],
     ["search", "fixtures:triangle", "--goal", "bogus"],
     ["signs"],
@@ -775,7 +774,7 @@ class TestDispatchedParse:
 
     def test_cases_cover_both_outcomes(self, capsys):
         outcomes = [parse_outcome(capsys, cli._parse_args, argv) for argv in PARSE_ARGVS]
-        assert sum(o[0] == "parsed" for o in outcomes) == 28
+        assert sum(o[0] == "parsed" for o in outcomes) == 42
         errors = {" ".join(argv): o for argv, o in zip(PARSE_ARGVS, outcomes) if o[0] == "exit"}
         assert errors["gale --n 7 --bogus"][3].startswith("usage: qtoric [-h]")
         assert "qtoric: error: unrecognized arguments: --bogus" in errors["gale --n 7 --bogus"][3]
@@ -949,17 +948,13 @@ class TestComplexInvariantTraffic:
 
 class TestOneShot:
     def test_subprocess_matches_warm_in_process_main(self, capsys, tmp_path):
-        unit = [[int(i == j) for j in range(4)] for i in range(4)]
-        cross = tmp_path / "cross4.json"
-        cross.write_text(json.dumps(
-            {"kind": "charmap", "rank": 4, "vectors": unit + [[-x for x in r] for r in unit]}
-        ))
+        cli_cases.write_documents(tmp_path)
         src = os.path.dirname(os.path.dirname(os.path.abspath(qtoric.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for argv in (
             ["fvector", "fixtures:barnette"],
             ["polar", "fixtures:d47"],
-            ["fan-check", "fixtures:cross4", str(cross)],
+            cli_cases.argv("fan-check fixtures:cross4 {cross4}", tmp_path),
         ):
             run(capsys, *argv)
             code, out, err = run(capsys, *argv)

@@ -265,16 +265,26 @@ class TestSharedCellValidation:
     def test_complex_vertex_in_no_facet_rejected(self):
         with pytest.raises(ValidationError, match=r"vertices \[4, 5\] appear in no facet"):
             SimplicialComplex.of(5, [[1, 2], [2, 3], [1, 3]])
+        # a huge count is never enumerated
+        huge = rf"\[4, 5, 6, 7, 8\] and {10**30 - 8} more appear"
+        with pytest.raises(ValidationError, match=rf"^vertices {huge} in no facet"):
+            SimplicialComplex.of(10**30, [[1, 2], [2, 3], [1, 3]])
 
     def test_polytope_facet_in_no_vertex_rejected(self):
         with pytest.raises(ValidationError, match=r"facets \[4, 5\] appear in no vertex"):
             SimplePolytope.of(5, 2, [[1, 2], [2, 3], [1, 3]])
+        huge = rf"\[4, 5, 6, 7, 8\] and {10**30 - 8} more appear"
+        with pytest.raises(ValidationError, match=rf"^facets {huge} in no vertex"):
+            SimplePolytope.of(10**30, 2, [[1, 2], [2, 3], [1, 3]])
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValidationError, match="vertex 4 out of range"):
             SimplicialComplex.of(3, [[1, 2], [2, 3], [3, 4], [1, 3]])
         with pytest.raises(ValidationError, match="facet 0 out of range"):
             SimplePolytope.of(3, 2, [[0, 1], [1, 2], [2, 3], [1, 3]])
+        # the least of several strays
+        with pytest.raises(ValidationError, match="vertex -2 out of range"):
+            SimplicialComplex.of(3, [[1, 2], [2, 3], [3, 1000], [1, -2]])
 
     def test_both_kinds_expose_one_cell_table(self):
         k = get_fixture("barnette").complex

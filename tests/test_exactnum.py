@@ -31,6 +31,7 @@ from qtoric.exactnum import (
 from qtoric.fanchk import cones_from_charmap
 from qtoric.fixtures import d47_polar, get_fixture
 
+import cli_cases
 from field_oracle import det_field, matrix_rank, row_reduce
 from field_oracle import strict_feasibility as oracle_strict_feasibility
 import ray_oracle
@@ -687,8 +688,7 @@ def seeded_cone_pair(rng, shared):
 
 def cone_pair_systems():
     """[A | -B] for every cone pair of Barnette, D4(7) and cross4 (+-e_i)."""
-    unit = [[int(i == j) for j in range(4)] for i in range(4)]
-    cross4 = CharacteristicMap.of(4, unit + [[-x for x in row] for row in unit])
+    cross4 = CharacteristicMap.of(4, cli_cases.DOCUMENTS["cross4"]["vectors"])
     barnette = get_fixture("barnette")
     for structure, cm in (
         (barnette.complex, barnette.charmap),

@@ -23,6 +23,7 @@ from qtoric.fanchk import (
 )
 from qtoric.fixtures import FIXTURE_NAMES, d47_polar, get_fixture
 
+import cli_cases
 from field_oracle import cones_overlap_interior as lp_overlap_oracle
 from field_oracle import scan as scan_oracle
 from ray_oracle import overlap_by_extreme_rays, strictly_inside
@@ -277,10 +278,8 @@ class TestFanCheckLpTraffic:
         monkeypatch.setattr(fanchk, "cones_overlap_interior", counted)
         argv = ["fan-check", f"fixtures:{case}"]
         if case == "cross4":
-            unit = [[int(i == j) for j in range(4)] for i in range(4)]
             path = tmp_path / "cross4.json"
-            vectors = unit + [[-x for x in row] for row in unit]
-            path.write_text(json.dumps({"kind": "charmap", "rank": 4, "vectors": vectors}))
+            path.write_text(json.dumps(cli_cases.DOCUMENTS["cross4"]))
             argv.append(str(path))
         main(argv)
         capsys.readouterr()
@@ -297,8 +296,7 @@ def fixture_cones(case):
         fx = get_fixture(case)
         return cones_from_charmap(fx.polytope, fx.charmap)[0]
     if case == "cross4":
-        unit = [[int(i == j) for j in range(4)] for i in range(4)]
-        cm = CharacteristicMap.of(4, unit + [[-x for x in row] for row in unit])
+        cm = CharacteristicMap.of(4, cli_cases.DOCUMENTS["cross4"]["vectors"])
         return cones_from_charmap(get_fixture("cross4").complex, cm)[0]
     if case == "d47":
         return cones_from_charmap(d47_polar().polytope, get_fixture("d47").charmap)[0]

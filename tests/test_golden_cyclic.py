@@ -33,6 +33,8 @@ from qtoric.cli import main
 from qtoric.cyclic import polar_of_angles
 from qtoric.fixtures import FIXTURE_NAMES, get_fixture
 
+import cli_cases
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cyclic.json")
 COMMANDS = ("polar", "orient-tuples", "cyclic-gen")
 FAN_FIXTURES = ("barnette", "d47", "pentagon", "square", "triangle")
@@ -56,28 +58,24 @@ def gl4(seed):
     return u
 
 
-def write_charmap(path, vectors):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"kind": "charmap", "rank": len(vectors[0]), "vectors": vectors}, fh)
-    return path
-
-
 def fan_runs():
-    """fan-check runs keyed by "fan-check <case>"; charmaps go to the cwd."""
+    """fan-check runs keyed by "fan-check <case>"; the documents of
+    cli_cases are read from the cwd, and the moved charmaps go there."""
     runs = {}
     for name in FAN_FIXTURES:
         runs[f"fan-check fixtures:{name}"] = run_cli(["fan-check", f"fixtures:{name}"])
-    unit = [[int(i == j) for j in range(4)] for i in range(4)]
-    cross = write_charmap("cross4.json", unit + [[-x for x in row] for row in unit])
-    runs["fan-check cross4"] = run_cli(["fan-check", "fixtures:cross4", cross])
-    square = write_charmap("square.json", [[1, 0], [0, 1], [1, 0], [0, -1]])
-    runs["fan-check square ridges"] = run_cli(["fan-check", "fixtures:square", square])
+    runs["fan-check cross4"] = run_cli(cli_cases.argv("fan-check fixtures:cross4 {cross4}", ""))
+    runs["fan-check square ridges"] = run_cli(
+        cli_cases.argv("fan-check fixtures:square {square}", "")
+    )
     for name in ("barnette", "d47"):
         vectors = get_fixture(name).charmap.vectors
         for seed in FAN_SEEDS:
             u = gl4(seed)
             moved = [[sum(a * x for a, x in zip(row, v)) for row in u] for v in vectors]
-            path = write_charmap(f"{name}_gl{seed}.json", moved)
+            path = f"{name}_gl{seed}.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"kind": "charmap", "rank": 4, "vectors": moved}, fh)
             runs[f"fan-check {name} gl{seed}"] = run_cli(["fan-check", f"fixtures:{name}", path])
     return runs
 
@@ -85,9 +83,8 @@ def fan_runs():
 def square2_runs():
     """Runs keyed by "<command> square2" on the square with a map that is
     not unimodular at the vertex whose tuple is not in increasing order."""
-    square2 = write_charmap("square2.json", [[1, 0], [0, 1], [-1, 1], [-1, 2]])
     return {
-        f"{command} square2": run_cli([command, "fixtures:square", square2])
+        f"{command} square2": run_cli(cli_cases.argv(f"{command} fixtures:square {{square2}}", ""))
         for command in SQUARE2_COMMANDS
     }
 
@@ -108,6 +105,7 @@ def digests():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            cli_cases.write_documents("")
             for ks in angle_subsets():
                 with open("angles.json", "w", encoding="utf-8") as fh:
                     json.dump({"kind": "angles", "eighth_turns": list(ks)}, fh)
