@@ -1,13 +1,13 @@
 """Bounded backtracking search for characteristic maps.
 
 The GL(n,Z) basis freedom is quotiented by pinning the base vertex's
-positively ordered vectors to the identity.  `plan_search` validates the
-inputs once and fixes the plan: the carrier order, the positively ordered
-cells each depth completes, and the determinants the goal accepts, read
-from the one `GOALS` table.  `search` walks that plan in one depth-first
-loop, keeping a candidate only when every cell it completes is accepted.
-The search is exhaustive within its entry bound only: evidence, not proof,
-outside it.
+vectors to the identity.  `plan_search` validates the inputs once and
+fixes the plan: the carrier order, and the cells each depth completes,
+each as its carriers in increasing order with the determinants accepted
+over them, read from the one `GOALS` table and the cell's parity.
+`search` walks that plan in one depth-first loop, keeping a candidate
+only when every cell it completes is accepted.  The search is exhaustive
+within its entry bound only: evidence, not proof, outside it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .charmap import CharacteristicMap
 from .complexes import CellTable, OrientationData, OrientedCells, permutation_parity
 from .errors import NormalizationError, ValidationError
 from .exactnum import adjugate, as_int, as_ints, bareiss_det, is_primitive
-from .values import Record, Value
+from .values import Value
 
-# goal -> the determinants it accepts at every cell, columns in positive order
+# goal -> the signs it accepts at every cell: dets over its positive tuple
 GOALS: Dict[str, Tuple[int, ...]] = {"unimodular": (1, -1), "all_positive": (1,)}
 
 
@@ -59,24 +59,25 @@ class SearchConfig(Value):
 
 class SearchPlan(Value):
     """What the search loop reads, validated by plan_search: order[k] is the
-    carrier assigned at depth k, and completed[k] holds the positively
-    ordered tuples of the cells that assigning it completes."""
+    carrier assigned at depth k, and completed[k] holds, for each cell that
+    assigning it completes, the cell's carriers in increasing order and the
+    determinants accepted over them."""
 
-    _fields = ("order", "completed", "accepted")
+    _fields = ("order", "completed")
 
-    def __init__(self, order: Tuple[int, ...], completed: Tuple[Tuple[Tuple[int, ...], ...], ...],
-                 accepted: Tuple[int, ...]):
-        self.__dict__.update(order=order, completed=completed, accepted=accepted)
+    def __init__(self, order: Tuple[int, ...],
+                 completed: Tuple[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...], ...]):
+        self.__dict__.update(order=order, completed=completed)
 
 
-class SearchResult(Record):
+class SearchResult(Value):
+    """The solutions in search order, the nodes explored, and whether the
+    search ran to its end (no solution cap or node budget stopped it)."""
+
     _fields = ("solutions", "nodes", "exhaustive")
 
-    def __init__(self, solutions: Optional[List[CharacteristicMap]] = None, nodes: int = 0,
-                 exhaustive: bool = True):
-        self.solutions = [] if solutions is None else solutions
-        self.nodes = nodes
-        self.exhaustive = exhaustive
+    def __init__(self, solutions: Tuple[CharacteristicMap, ...], nodes: int, exhaustive: bool):
+        self.__dict__.update(solutions=solutions, nodes=nodes, exhaustive=exhaustive)
 
 
 def normalize_map(
@@ -136,19 +137,19 @@ def plan_search(structure: CellTable, orientation: OrientationData,
     """Validate the search inputs and fix the plan the loop walks.
 
     The base vertex's vectors are pinned to the identity in the order of
-    config.base_vertex.  That tuple is taken as positively ordered, so if the
-    orientation gives it the opposite parity the whole orientation is
-    reversed first (the same search up to an ambient reflection).
+    config.base_vertex, taken as positively ordered: a cell's sign is its
+    det over its increasing carriers times its parity, negated throughout
+    if the orientation gives the base the opposite parity (the same search
+    up to an ambient reflection).  A cell accepts the dets of the goal's signs.
     """
-    tuples = OrientedCells.of(structure, orientation).tuples
+    table = OrientedCells.of(structure, orientation)
     cells = structure.cells
     base = frozenset(config.base_vertex)
     if len(base) != len(config.base_vertex) or base not in cells:
         raise ValidationError(
             f"base vertex {config.base_vertex} is not a cell of the structure"
         )
-    if permutation_parity(config.base_vertex, tuples[cells.index(base)]) < 0:
-        tuples = orientation.reversed().tuples
+    flip = permutation_parity(config.base_vertex, table.tuples[cells.index(base)])
 
     order = tuple(assignment_order(structure, config.base_vertex)
                   if config.order is None else config.order)
@@ -161,9 +162,11 @@ def plan_search(structure: CellTable, orientation: OrientationData,
     for carrier in order:
         assigned.add(carrier)
         completed.append(tuple(
-            t for t, cell in zip(tuples, cells) if carrier in cell and cell <= assigned
+            (t, tuple(flip * parity * d for d in GOALS[config.goal]))
+            for t, parity, cell in zip(structure.ordered, table.parities, cells)
+            if carrier in cell and cell <= assigned
         ))
-    return SearchPlan(order, tuple(completed), GOALS[config.goal])
+    return SearchPlan(order, tuple(completed))
 
 
 def search(structure: CellTable, orientation: OrientationData,
@@ -178,33 +181,31 @@ def search(structure: CellTable, orientation: OrientationData,
         vectors[carrier] = tuple(1 if i == k else 0 for i in range(n))
     # candidate k at any depth comes after k nodes, so none past k = budget is read
     candidates = candidate_vectors(n, config.bound, config.node_budget + 1)
-    result = SearchResult()
+    solutions: List[CharacteristicMap] = []
+    nodes = 0
 
     def dfs(depth: int) -> bool:
         """Returns False when the search must stop (cap or budget hit)."""
+        nonlocal nodes
         if depth == len(plan.order):
-            result.solutions.append(CharacteristicMap(n, tuple(vectors[1:])))
-            if len(result.solutions) == config.solution_cap:
-                result.exhaustive = False
-                return False
-            return True
+            solutions.append(CharacteristicMap(n, tuple(vectors[1:])))
+            return len(solutions) != config.solution_cap
         carrier, completed = plan.order[depth], plan.completed[depth]
         for cand in candidates:
-            if result.nodes == config.node_budget:
-                result.exhaustive = False
+            if nodes == config.node_budget:
                 return False
-            result.nodes += 1
+            nodes += 1
             vectors[carrier] = cand
-            # the columns in positive order, passed as rows: det M^T = det M;
-            # the first rejected cell prunes the candidate.  The vectors are
-            # int tuples and each cell has n of them, so det_int's check is skipped
-            for t in completed:
-                if bareiss_det([list(vectors[i]) for i in t]) not in plan.accepted:
+            # the vectors over increasing carriers, as rows: det M^T = det M;
+            # the first rejected cell prunes the candidate.  They are int
+            # tuples, n per cell, so they go to the kernel unchecked
+            for t, accepted in completed:
+                if bareiss_det([list(vectors[i]) for i in t]) not in accepted:
                     break
             else:
                 if not dfs(depth + 1):
                     return False
         return True
 
-    dfs(0)
-    return result
+    exhaustive = dfs(0)
+    return SearchResult(tuple(solutions), nodes, exhaustive)

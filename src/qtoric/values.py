@@ -1,16 +1,15 @@
-"""The bases of qtoric's record types: plain classes, so that importing
+"""The base of qtoric's record types: a plain class, so that importing
 qtoric generates no code.
 
-A `Record` names its fields in the class-level `_fields` tuple.  It equals
-a record of the same class whose fields are equal, prints as
-``Name(field=value, ...)`` and, as it may change, has no hash.  A `Value`
-is a frozen, hashable record: its ``__init__`` writes its fields into
-``self.__dict__``, where functools.cached_property also writes, and
-setattr and delattr raise AttributeError.
+A `Value` names its fields in the class-level `_fields` tuple.  It equals
+a value of the same class whose fields are equal, hashes over its fields
+and prints as ``Name(field=value, ...)``.  It is frozen: its ``__init__``
+writes its fields into ``self.__dict__``, where functools.cached_property
+also writes, and setattr and delattr raise AttributeError.
 """
 
 
-class Record:
+class Value:
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
@@ -21,14 +20,12 @@ class Record:
             return self._values() == other._values()
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-class Value(Record):
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

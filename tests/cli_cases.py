@@ -37,6 +37,8 @@ DOCUMENTS = {
                    "goal": "sideways"},
     # a path of two edges, so not a pseudomanifold
     "path": {"kind": "simplicial_complex", "num_vertices": 3, "facets": [[1, 2], [2, 3]]},
+    # the triangle's cell {1, 2} has det 0
+    "det0": {"kind": "charmap", "rank": 2, "vectors": [[1, 0], [1, 0], [0, 1]]},
 }
 
 CASES = [
@@ -54,8 +56,11 @@ CASES = [
     # signs stops at cell (4, 1) with its tuple-order det -2; check-unimodular
     # reports vertex 14 with its increasing-order det 2
     ("signs fixtures:square {square2}", 2), ("check-unimodular fixtures:square {square2}", 1),
-    ("signs fixtures:d47", 1), ("flip-solve fixtures:barnette", 1),
+    ("signs fixtures:d47", 1), ("flip-solve fixtures:barnette", 1), ("flip-solve fixtures:d47", 1),
     ("flip-solve fixtures:pentagon", 0), ("check-unimodular fixtures:pentagon", 0),
+    # a map document, then none: inputs leaked from the first call into the
+    # next would make the plain call fail too
+    ("check-unimodular fixtures:triangle {det0}", 1), ("check-unimodular fixtures:triangle", 0),
     ("almost-complex fixtures:pentagon", 0),
     ("polar {angles}", 0), ("cyclic-gen {angles}", 0), ("orient-tuples {angles}", 0),
     # the map document replaces the fixture's own map
@@ -66,8 +71,12 @@ CASES = [
     ("fixtures pentagon", 0), ("fixtures d47", 0), ("fixtures barnette", 0),
     ("fixtures triangle", 0), ("fixtures square", 0),
     ("search fixtures:triangle {config}", 0), ("search fixtures:triangle {two_faults}", 2),
-    # argparse's error and help bytes
+    # a command that needs inputs, given none
+    ("fvector", 2),
+    # argparse's error and help bytes, from the top-level parser and from a
+    # subcommand's own
     ("gale --n 7 --bogus", 2), ("nosuchcommand", 2), ("--help", 0),
+    ("search fixtures:triangle --goal sideways", 2),
 ]
 
 

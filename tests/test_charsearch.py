@@ -1,6 +1,7 @@
 """Tests for the bounded characteristic-map search."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from qtoric.charmap import (
     unimodularity_check,
 )
 from qtoric.charsearch import (
+    GOALS,
     SearchConfig,
     assignment_order,
     candidate_vectors,
@@ -19,12 +21,14 @@ from qtoric.charsearch import (
     plan_search,
     search,
 )
-from qtoric.complexes import coherent_orientation
+from qtoric.complexes import coherent_orientation, swapped
 from qtoric.errors import NormalizationError, ValidationError
-from qtoric.exactnum import is_primitive
+from qtoric.exactnum import bareiss_det, is_primitive
 from qtoric.fixtures import d47_orientation, d47_polar, get_fixture
 
+from ray_oracle import det
 from search_oracle import brute_force_search
+from test_oriented_cells import ORIENTED, fixture_case
 
 
 @pytest.fixture
@@ -103,22 +107,70 @@ class TestOrder:
 
 class TestPlan:
     def test_square_plan_follows_the_base_parity(self):
+        # the square's tuples are (1, 2), (2, 3), (3, 4) and (4, 1), so cell
+        # 14 has parity -1 against its increasing carriers
         fx = get_fixture("square")
         plan = plan_search(
             fx.polytope, fx.orientation,
             SearchConfig(bound=1, base_vertex=(1, 2), goal="all_positive"),
         )
         assert plan.order == (3, 4)
-        # each cell but the base is checked once, at the depth completing it
-        assert plan.completed == (((2, 3),), ((3, 4), (4, 1)))
-        assert plan.accepted == (1,)
-        # (2, 1) has the opposite parity to the orientation's (1, 2), so the
-        # plan carries the reversed tuples
-        reversed_plan = plan_search(
-            fx.polytope, fx.orientation, SearchConfig(bound=1, base_vertex=(2, 1))
+        # each cell but the base is checked once, at the depth completing it,
+        # over its increasing carriers; det -1 over (1, 4) is det +1 over (4, 1)
+        assert plan.completed == ((((2, 3), (1,)),), (((3, 4), (1,)), ((1, 4), (-1,))))
+        # (2, 1) has the opposite parity to the orientation's (1, 2), so
+        # every cell accepts the negated signs
+        odd = [
+            plan_search(fx.polytope, fx.orientation,
+                        SearchConfig(bound=1, base_vertex=(2, 1), goal=goal))
+            for goal in ("all_positive", "unimodular")
+        ]
+        assert odd[0].completed == ((((2, 3), (-1,)),), (((3, 4), (-1,)), ((1, 4), (1,))))
+        assert odd[1].completed == (
+            (((2, 3), (-1, 1)),), (((3, 4), (-1, 1)), ((1, 4), (1, -1)))
         )
-        assert reversed_plan.completed == (((3, 2),), ((4, 3), (1, 4)))
-        assert reversed_plan.accepted == (1, -1)
+        assert {p.order for p in odd} == {(3, 4)}
+
+
+def random_rows(rng, n):
+    """n vectors: a signed permutation matrix (det +-1) or small entries."""
+    if rng.random() < 0.5:
+        columns = rng.sample(range(n), n)
+        return [[rng.choice((-1, 1)) * (j == c) for j in range(n)] for c in columns]
+    return [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+
+
+class TestPlanAgainstTupleRule:
+    """Each completed cell accepts, over its increasing carriers, exactly the
+    vectors whose det over the cell's positive tuple lies in the goal's set:
+    the orientation's tuple, or its reverse when the base is pinned in the
+    opposite parity, as search_oracle decides.  Those dets are cofactor
+    expansions (ray_oracle.det)."""
+
+    @pytest.mark.parametrize("goal", sorted(GOALS))
+    @pytest.mark.parametrize("name", ORIENTED)
+    def test_completed_cells_admit_the_tuple_rule(self, name, goal):
+        structure, orientation, _ = fixture_case(name)
+        rng = random.Random(f"{name}:{goal}")
+        tuples = orientation.tuples
+        base = tuples[rng.randrange(len(tuples))]
+        verdicts = set()
+        for base_vertex, positive in ((base, tuples),
+                                      (swapped(base), orientation.reversed().tuples)):
+            plan = plan_search(structure, orientation, SearchConfig(base_vertex, goal=goal))
+            completed = [cell for depth in plan.completed for cell in depth]
+            assert sorted(t for t, _ in completed) == sorted(
+                t for t in structure.ordered if set(t) != set(base))
+            tuple_of = {frozenset(t): t for t in positive}
+            for carriers, accepted in completed:
+                for _ in range(8):
+                    vector = dict(zip(carriers, random_rows(rng, len(carriers))))
+                    # the kernel eliminates its rows in place
+                    admitted = bareiss_det([list(vector[i]) for i in carriers]) in accepted
+                    expected = det([vector[i] for i in tuple_of[frozenset(carriers)]])
+                    assert admitted == (expected in GOALS[goal])
+                    verdicts.add(admitted)
+        assert verdicts == {True, False}
 
 
 class TestSearch:
@@ -186,7 +238,7 @@ class TestSearch:
             det_calls[0] = 0
             result = search(polar.polytope, d47_orientation(), config)
             assert result.exhaustive
-            assert result.solutions == []
+            assert result.solutions == ()
             assert result.nodes == expected_nodes[bound]
             assert det_calls[0] == expected_dets[bound]
 
@@ -195,7 +247,7 @@ class TestSearch:
         config = SearchConfig(bound=1, base_vertex=(1, 2, 3, 4), goal="all_positive")
         result = search(fx.complex, coherent_orientation(fx.complex), config)
         assert result.exhaustive
-        assert result.solutions == []
+        assert result.solutions == ()
         assert result.nodes == 43440
         assert det_calls[0] == 63288
 

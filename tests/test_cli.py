@@ -661,36 +661,14 @@ def run_any(capsys, argv, output=None):
 class TestSharedParser:
     """main reuses one parser per process; no call may leak into the next."""
 
+    # cases also run with --output, so that a leaked output path shows
+    OUTPUT_CASES = ("fixtures pentagon", "hvector fixtures:cross4", "polar fixtures:d47")
+
     def argvs(self, tmp_path, output):
-        bad = tmp_path / "det0.json"
-        bad.write_text(json.dumps(
-            {"kind": "charmap", "rank": 2, "vectors": [[1, 0], [1, 0], [0, 1]]}
-        ))
-        return [
-            ["fixtures"],
-            ["fixtures", "pentagon", "--output", output],
-            ["fvector", "fixtures:barnette"],
-            ["hvector", "fixtures:barnette", "--output", output],
-            ["orient", "fixtures:rp2_6"],
-            ["dualize", "fixtures:simplex4"],
-            ["cyclic-gen", "fixtures:d47"],
-            ["gale", "--n", "7", "--d", "4"],
-            ["gale", "--n", "6"],
-            ["polar", "fixtures:d47", "--output", output],
-            ["orient-tuples", "fixtures:d47"],
-            # with the det-0 charmap the triangle fails; a leaked inputs
-            # list would make the plain call fail too
-            ["check-unimodular", "fixtures:triangle", str(bad)],
-            ["check-unimodular", "fixtures:triangle"],
-            ["signs", "fixtures:d47"],
-            ["almost-complex", "fixtures:pentagon"],
-            ["flip-solve", "fixtures:d47"],
-            ["fan-check", "fixtures:pentagon"],
-            ["search", "fixtures:triangle", "--bound", "1", "--goal", "all-positive",
-             "--base-vertex", "1,2", "--node-budget", "100", "--max-printed", "0"],
-            ["search", "fixtures:triangle"],
-            ["search", "fixtures:triangle", "--goal", "sideways"],
-            ["fvector"],
+        """Every case of tests/cli_cases.py, then the --output runs."""
+        cli_cases.write_documents(tmp_path)
+        return [cli_cases.argv(case, tmp_path) for case, _ in cli_cases.CASES] + [
+            cli_cases.argv(case, tmp_path) + ["--output", output] for case in self.OUTPUT_CASES
         ]
 
     def test_reused_parser_matches_a_cold_one(self, capsys, tmp_path):
@@ -700,7 +678,9 @@ class TestSharedParser:
         for argv in argvs:
             build_parser.cache_clear()
             cold.append(run_any(capsys, argv, output))
-        assert [c[0] for c in cold].count(EXIT_INPUT_ERROR) == 3
+        assert [c[0] for c in cold].count(EXIT_INPUT_ERROR) == sum(
+            code == EXIT_INPUT_ERROR for _, code in cli_cases.CASES)
+        assert all(c[3] for c in cold[-len(self.OUTPUT_CASES):])
 
         build_parser.cache_clear()
         parser = build_parser()
@@ -774,7 +754,7 @@ class TestDispatchedParse:
 
     def test_cases_cover_both_outcomes(self, capsys):
         outcomes = [parse_outcome(capsys, cli._parse_args, argv) for argv in PARSE_ARGVS]
-        assert sum(o[0] == "parsed" for o in outcomes) == 42
+        assert sum(o[0] == "parsed" for o in outcomes) == 46
         errors = {" ".join(argv): o for argv, o in zip(PARSE_ARGVS, outcomes) if o[0] == "exit"}
         assert errors["gale --n 7 --bogus"][3].startswith("usage: qtoric [-h]")
         assert "qtoric: error: unrecognized arguments: --bogus" in errors["gale --n 7 --bogus"][3]
