@@ -4,10 +4,12 @@ The GL(n,Z) basis freedom is quotiented by pinning the base vertex's
 vectors to the identity.  `plan_search` validates the inputs once and
 fixes the plan: the carrier order, and the cells each depth completes,
 each as its carriers in increasing order with the determinants accepted
-over them, read from the one `GOALS` table and the cell's parity.
+over them, read from the one `GOALS` table and the cell's parity.  A
+depth lists its cells fail first, fewest base-vertex carriers first.
 `search` walks that plan in one depth-first loop, keeping a candidate
-only when every cell it completes is accepted.  The search is exhaustive
-within its entry bound only: evidence, not proof, outside it.
+only when every cell it completes is accepted, and dropping it at the
+first cell that is not.  The search is exhaustive within its entry bound
+only: evidence, not proof, outside it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ class SearchPlan(Value):
     """What the search loop reads, validated by plan_search: order[k] is the
     carrier assigned at depth k, and completed[k] holds, for each cell that
     assigning it completes, the cell's carriers in increasing order and the
-    determinants accepted over them."""
+    determinants accepted over them.  Those cells come in increasing count
+    of base-vertex carriers, ties in cell order; the order moves only how
+    many determinants a search evaluates, never its nodes or solutions."""
 
     _fields = ("order", "completed")
 
@@ -161,11 +165,16 @@ def plan_search(structure: CellTable, orientation: OrientationData,
     completed = []
     for carrier in order:
         assigned.add(carrier)
-        completed.append(tuple(
+        cells_here = [
             (t, tuple(flip * parity * d for d in GOALS[config.goal]))
             for t, parity, cell in zip(structure.ordered, table.parities, cells)
             if carrier in cell and cell <= assigned
-        ))
+        ]
+        # fail first: a cell with fewer pinned base vectors holds more free
+        # ones and rejects more often; the sort is stable, so ties keep
+        # cell order, and acceptance is a conjunction, so no verdict moves
+        cells_here.sort(key=lambda entry: len(base.intersection(entry[0])))
+        completed.append(tuple(cells_here))
     return SearchPlan(order, tuple(completed))
 
 

@@ -174,7 +174,9 @@ def bareiss_det(a: List[List[int]]) -> int:
     ints of length n: nothing is checked, and the rows are overwritten.
     Each elimination step reads its pivot row and pivot once, swapping in a
     lower row with a nonzero entry when the pivot is 0, and divides every
-    update exactly by the previous pivot.
+    update exactly by the previous pivot.  The division is skipped while
+    the previous pivot is 1: always at the first step, and again after a
+    pivot of 1.
     """
     n = len(a)
     sign = 1
@@ -193,11 +195,18 @@ def bareiss_det(a: List[List[int]]) -> int:
             else:
                 return 0
         rest = range(k + 1, n)
-        for i in rest:
-            row = a[i]
-            f = row[k]
-            for j in rest:
-                row[j] = (row[j] * p - f * pivot[j]) // prev
+        if prev == 1:
+            for i in rest:
+                row = a[i]
+                f = row[k]
+                for j in rest:
+                    row[j] = row[j] * p - f * pivot[j]
+        else:
+            for i in rest:
+                row = a[i]
+                f = row[k]
+                for j in rest:
+                    row[j] = (row[j] * p - f * pivot[j]) // prev
         prev = p
     return sign * a[-1][-1]
 

@@ -173,6 +173,51 @@ class TestPlanAgainstTupleRule:
         assert verdicts == {True, False}
 
 
+class TestCellOrder:
+    """Each depth lists its cells fail first: fewest base-vertex carriers
+    first, ties in cell order.  Acceptance is a conjunction over the cells,
+    so any order gives the same nodes and solutions in the same order."""
+
+    @pytest.mark.parametrize("name", ORIENTED)
+    def test_cells_listed_by_base_carriers_then_cell_order(self, name):
+        structure, orientation, _ = fixture_case(name)
+        base = orientation.tuples[0]
+        plan = plan_search(structure, orientation, SearchConfig(base))
+        index = {t: k for k, t in enumerate(structure.ordered)}
+        for depth in plan.completed:
+            keys = [(len(set(base) & set(t)), index[t]) for t, _ in depth]
+            assert keys == sorted(keys)
+
+    # seeds whose shuffle moves a cell in every case; the triangle's two
+    # cells stay in place for half of all seeds
+    @pytest.mark.parametrize("seed", [9, 11])
+    @pytest.mark.parametrize("name, base, bound, goal", [
+        ("triangle", (1, 2), 2, "unimodular"),
+        ("square", (1, 2), 2, "all_positive"),
+        ("pentagon", (1, 2), 2, "unimodular"),
+        ("barnette", (1, 2, 3, 4), 1, "all_positive"),
+        ("d47", (2, 1, 3, 7), 1, "unimodular"),
+    ])
+    def test_shuffled_cells_give_the_same_result(self, monkeypatch, name, base,
+                                                 bound, goal, seed):
+        structure, orientation, _ = fixture_case(name)
+        config = SearchConfig(base, bound=bound, goal=goal)
+        shipped = search(structure, orientation, config)
+        rng = random.Random(seed)
+        plan = charsearch.plan_search
+        moved = []
+
+        def shuffled(*args):
+            fixed = plan(*args)
+            completed = tuple(tuple(rng.sample(depth, len(depth))) for depth in fixed.completed)
+            moved.append(completed != fixed.completed)
+            return charsearch.SearchPlan(fixed.order, completed)
+
+        monkeypatch.setattr(charsearch, "plan_search", shuffled)
+        assert search(structure, orientation, config) == shipped
+        assert moved == [True]
+
+
 class TestSearch:
     def test_triangle_unique_solution(self):
         fx = get_fixture("triangle")
@@ -217,7 +262,7 @@ class TestSearch:
         result = search(polar.polytope, d47_orientation(), config)
         assert result.exhaustive
         assert result.nodes == 47760
-        assert det_calls[0] == 128582
+        assert det_calls[0] == 89190
         assert len(result.solutions) == 640
         # the report lists the solutions in search order, so pin that order
         ordered = repr(tuple(s.vectors for s in result.solutions)).encode()
@@ -230,7 +275,7 @@ class TestSearch:
     def test_d47_all_positive_empty_at_bounds_one_and_two(self, det_calls):
         polar = d47_polar()
         expected_nodes = {1: 3280, 2: 86496}
-        expected_dets = {1: 4777, 2: 107461}
+        expected_dets = {1: 4346, 2: 102424}
         for bound in (1, 2):
             config = SearchConfig(
                 bound=bound, base_vertex=(2, 1, 3, 7), goal="all_positive"
@@ -249,7 +294,7 @@ class TestSearch:
         assert result.exhaustive
         assert result.solutions == ()
         assert result.nodes == 43440
-        assert det_calls[0] == 63288
+        assert det_calls[0] == 56134
 
     def test_order_override_changes_nodes_not_solutions(self):
         polar = d47_polar()

@@ -59,6 +59,16 @@ class TestFVector:
         with pytest.raises(ValidationError):
             SimplicialComplex.of(4, [(1, 2, 3), (1, 4)])
 
+    def test_one_vertex_complex_accepted(self):
+        # the least vertex count, and cells whose least and greatest label agree
+        k = SimplicialComplex.of(1, [(1,)])
+        assert k.facets == (frozenset({1}),)
+        assert f_vector(k) == (1,)
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValidationError, match="at least one vertex"):
+            SimplicialComplex.of(0, [])
+
 
 class TestHVector:
     def test_simplex_boundary(self):

@@ -168,6 +168,54 @@ class TestBareissKernel:
                 kinds.add("swap")
         assert kinds >= {1, 2, 3, 4, 5, 6, "singular", "nonsingular", "swap"}
 
+    @staticmethod
+    def pivots(m):
+        """The pivots of an elimination of m that swaps no row: its leading
+        principal minors, by the cofactor oracle.  Step k divides by pivot
+        k - 1, and skips the division when that pivot is 1."""
+        return [ray_oracle.det([row[:k] for row in m[:k]]) for k in range(1, len(m))]
+
+    def test_unit_previous_pivot_skips_the_division(self):
+        zero_first = [[0, 3, 3, 0], [1, 3, 0, 1], [1, -2, -2, 0], [1, 0, 1, -1]]
+        # the kernel swaps row 1 up: a unit pivot, so steps 0 and 1 skip the
+        # division and step 2 divides by 3
+        assert self.pivots([zero_first[1], zero_first[0], *zero_first[2:]]) == [1, 3, 9]
+        # step 1 divides by 3, then the unit pivot lets step 2 skip it
+        unit_after_three = [[3, 1, -1, 0], [-1, 0, 1, 3], [1, 3, -1, -2], [1, 3, 0, 2]]
+        assert self.pivots(unit_after_three) == [3, 1, -6]
+        # a pivot of -1 is divided by, like any pivot but 1
+        minus_one = [[-1, -1, -1, -2], [2, 0, 3, 2], [1, 0, 2, -1], [0, 2, -1, -2]]
+        assert self.pivots(minus_one) == [-1, 2, 1]
+        for m in (zero_first, unit_after_three, minus_one):
+            assert bareiss_det([list(row) for row in m]) == det_int(m) == ray_oracle.det(m)
+        assert [det_int(m) for m in (zero_first, unit_after_three, minus_one)] == [6, 2, -4]
+
+    def test_entries_past_two_to_the_64(self):
+        rng = random.Random(41)
+        big = 2**64
+
+        def entry():
+            return rng.choice((-1, 1)) * rng.randint(big, 2**70)
+
+        def unit_triangular(lower):
+            return [[1 if i == j else entry() if (i > j) == lower else 0
+                     for j in range(4)] for i in range(4)]
+
+        cases = []
+        for _ in range(10):
+            # every pivot non-unit: each step but the first divides
+            cases.append([[entry() for _ in range(4)] for _ in range(4)])
+            # every pivot 1 (L U with unit diagonals): no step divides
+            lower, upper = unit_triangular(True), unit_triangular(False)
+            cases.append([[sum(lower[i][k] * upper[k][j] for k in range(4))
+                           for j in range(4)] for i in range(4)])
+        for m in cases:
+            assert max(abs(x) for row in m for x in row) >= big
+            assert bareiss_det([list(row) for row in m]) == det_int(m) == ray_oracle.det(m)
+        assert {det_int(m) for m in cases[1::2]} == {1}
+        assert all(self.pivots(m) == [1, 1, 1] for m in cases[1::2])
+        assert not any(1 in self.pivots(m) for m in cases[::2])
+
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         for m in sparse_int_matrices(37, count=60):
