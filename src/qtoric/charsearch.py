@@ -8,8 +8,10 @@ over them, read from the one `GOALS` table and the cell's parity.  A
 depth lists its cells fail first, fewest base-vertex carriers first.
 `search` walks that plan in one depth-first loop, keeping a candidate
 only when every cell it completes is accepted, and dropping it at the
-first cell that is not.  The search is exhaustive within its entry bound
-only: evidence, not proof, outside it.
+first cell that is not.  Under a goal whose signs are closed under
+negation (unimodular), a candidate's negation takes the candidate's
+verdict without an elimination.  The search is exhaustive within its
+entry bound only: evidence, not proof, outside it.
 """
 
 from __future__ import annotations
@@ -190,6 +192,19 @@ def search(structure: CellTable, orientation: OrientationData,
         vectors[carrier] = tuple(1 if i == k else 0 for i in range(n))
     # candidate k at any depth comes after k nodes, so none past k = budget is read
     candidates = candidate_vectors(n, config.bound, config.node_budget + 1)
+    # Every cell completed at a depth holds its carrier once, so negating the
+    # candidate negates each of their dets, and a goal whose signs are closed
+    # under negation gives -c the verdict of c.  The whole box is symmetric
+    # and lexicographic, so its second half is the first's negations in
+    # reverse order: there the loop replays the first half's verdicts.  A
+    # list cut by the budget, or a goal such as all_positive, eliminates every
+    # candidate's cells.
+    signs = GOALS[config.goal]
+    if len(candidates) <= config.node_budget and all(-s in signs for s in signs):
+        half = len(candidates) // 2
+    else:
+        half = len(candidates)
+    first, second = candidates[:half], candidates[half:]
     solutions: List[CharacteristicMap] = []
     nodes = 0
 
@@ -200,7 +215,8 @@ def search(structure: CellTable, orientation: OrientationData,
             solutions.append(CharacteristicMap(n, tuple(vectors[1:])))
             return len(solutions) != config.solution_cap
         carrier, completed = plan.order[depth], plan.completed[depth]
-        for cand in candidates:
+        kept: List[Tuple[int, ...]] = []
+        for cand in first:
             if nodes == config.node_budget:
                 return False
             nodes += 1
@@ -212,6 +228,17 @@ def search(structure: CellTable, orientation: OrientationData,
                 if bareiss_det([list(vectors[i]) for i in t]) not in accepted:
                     break
             else:
+                kept.append(cand)
+                if not dfs(depth + 1):
+                    return False
+        # twins come in reverse order, so the next kept one is kept[-1]
+        for cand, twin in zip(second, reversed(first)):
+            if nodes == config.node_budget:
+                return False
+            nodes += 1
+            if kept and kept[-1] == twin:
+                kept.pop()
+                vectors[carrier] = cand
                 if not dfs(depth + 1):
                     return False
         return True

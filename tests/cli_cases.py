@@ -47,6 +47,11 @@ CASES = [
     ("search fixtures:triangle --bound 1 --goal all-positive --base-vertex 1,2", 0),
     ("search fixtures:d47 --bound 1 --goal unimodular --base-vertex 2,1,3,7 --max-printed 1000", 0),
     ("search fixtures:d47 --bound 1 --goal all-positive --base-vertex 2,1,3,7", 0),
+    # node 30 is (1, -1) at the first depth, whose verdict is that of its
+    # negation (-1, 1); the budget stops before the negations of (-1, -1)
+    # and (-1, 0).  The all-positive search eliminates every candidate
+    ("search fixtures:square --bound 1 --goal unimodular --base-vertex 1,2 --node-budget 30", 0),
+    ("search fixtures:square --bound 1 --goal all-positive --base-vertex 1,2 --node-budget 30", 0),
     ("orient fixtures:barnette", 0), ("orient fixtures:rp2_6", 1), ("orient {path}", 1),
     ("hvector fixtures:cross4", 0), ("dualize fixtures:simplex4", 0), ("gale --n 7 --d 4", 0),
     # fan-check on d47 reaches the LP through a polytope with an orientation

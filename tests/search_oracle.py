@@ -7,11 +7,18 @@ depth.  It is exponential in the number of free carriers, so it serves the
 small fixtures only (triangle, square).  It lists its own candidate vectors
 and takes each determinant from ray_oracle.det, a cofactor expansion, so it
 shares neither the candidate list nor the Bareiss kernel with the search.
+
+unshared_search is charsearch.search's loop without the sign symmetry: it
+eliminates the cells of a candidate and of its negation separately, so it
+checks that sharing one verdict between them leaves the whole SearchResult
+unchanged, nodes and stop included.
 """
 
 from itertools import product
 from math import gcd
 
+from qtoric import charsearch
+from qtoric.charmap import CharacteristicMap
 from qtoric.cyclic import permutation_parity
 
 from ray_oracle import det
@@ -47,3 +54,41 @@ def brute_force_search(structure, orientation, base, bound, goal):
         if ok:
             solutions.append(tuple(assignment[i] for i in range(1, m + 1)))
     return solutions
+
+
+def unshared_search(structure, orientation, config):
+    """charsearch.search without the sign symmetry: the same plan, candidate
+    list and depth-first loop, but every candidate's cells are eliminated,
+    a candidate's negation included.  It calls the kernel as
+    charsearch.bareiss_det, so a test that counts the search's determinants
+    there counts this loop's too."""
+    plan = charsearch.plan_search(structure, orientation, config)
+    n = len(config.base_vertex)
+    vectors = [None] * (structure.num_carriers + 1)
+    for k, carrier in enumerate(config.base_vertex):
+        vectors[carrier] = tuple(1 if i == k else 0 for i in range(n))
+    candidates = charsearch.candidate_vectors(n, config.bound, config.node_budget + 1)
+    solutions = []
+    nodes = 0
+
+    def dfs(depth):
+        nonlocal nodes
+        if depth == len(plan.order):
+            solutions.append(CharacteristicMap(n, tuple(vectors[1:])))
+            return len(solutions) != config.solution_cap
+        carrier, completed = plan.order[depth], plan.completed[depth]
+        for cand in candidates:
+            if nodes == config.node_budget:
+                return False
+            nodes += 1
+            vectors[carrier] = cand
+            for t, accepted in completed:
+                if charsearch.bareiss_det([list(vectors[i]) for i in t]) not in accepted:
+                    break
+            else:
+                if not dfs(depth + 1):
+                    return False
+        return True
+
+    exhaustive = dfs(0)
+    return charsearch.SearchResult(tuple(solutions), nodes, exhaustive)

@@ -27,7 +27,7 @@ from qtoric.exactnum import bareiss_det, is_primitive
 from qtoric.fixtures import d47_orientation, d47_polar, get_fixture
 
 from ray_oracle import det
-from search_oracle import brute_force_search
+from search_oracle import brute_force_search, unshared_search
 from test_oriented_cells import ORIENTED, fixture_case
 
 
@@ -262,7 +262,12 @@ class TestSearch:
         result = search(polar.polytope, d47_orientation(), config)
         assert result.exhaustive
         assert result.nodes == 47760
-        assert det_calls[0] == 89190
+        assert det_calls[0] == 44595
+        # a candidate and its negation share one verdict: exactly half the
+        # determinants of the loop that eliminates both
+        det_calls[0] = 0
+        assert unshared_search(polar.polytope, d47_orientation(), config) == result
+        assert det_calls[0] == 2 * 44595
         assert len(result.solutions) == 640
         # the report lists the solutions in search order, so pin that order
         ordered = repr(tuple(s.vectors for s in result.solutions)).encode()
@@ -271,6 +276,20 @@ class TestSearch:
         )
         reference = get_fixture("d47").charmap
         assert reference.vectors in {s.vectors for s in result.solutions}
+
+    def test_d47_unimodular_bound_two(self, det_calls):
+        # the reference run the search's ROADMAP items measure against
+        polar = d47_polar()
+        config = SearchConfig(bound=2, base_vertex=(2, 1, 3, 7), goal="unimodular")
+        result = search(polar.polytope, d47_orientation(), config)
+        assert result.exhaustive
+        assert result.nodes == 1560736
+        assert det_calls[0] == 1121021
+        assert len(result.solutions) == 2304
+        ordered = repr(tuple(s.vectors for s in result.solutions)).encode()
+        assert hashlib.sha256(ordered).hexdigest() == (
+            "6be37428149c44e59bf56a06438d428ed98c69f176f4e1d55004e6756812af18"
+        )
 
     def test_d47_all_positive_empty_at_bounds_one_and_two(self, det_calls):
         polar = d47_polar()
@@ -410,3 +429,59 @@ class TestSearch:
             SearchConfig(bound=1, base_vertex=(2, 1), goal="all_positive"),
         )
         assert len(a.solutions) == len(b.solutions)
+
+
+# (fixture, base, bound): every benchmark base of D4(7)
+SYMMETRY_CASES = [
+    ("triangle", (1, 2), 1), ("triangle", (1, 2), 2),
+    ("square", (1, 2), 1), ("square", (1, 2), 2),
+    ("pentagon", (1, 2), 1), ("pentagon", (1, 2), 2),
+    ("d47", (1, 2, 3, 4), 1), ("d47", (2, 1, 3, 7), 1), ("d47", (1, 2, 6, 7), 1),
+    ("barnette", (1, 2, 3, 4), 1),
+]
+
+
+class TestSignSymmetry:
+    """Under a goal whose signs are closed under negation, search gives a
+    candidate's negation the verdict the candidate got.  The loop that
+    eliminates both (search_oracle.unshared_search) must return the same
+    whole SearchResult: solutions in order, nodes and exhaustive."""
+
+    # Barnette B=1 unimodular runs 636,240 nodes whole, so it is compared
+    # under caps and budgets only
+    @pytest.mark.parametrize("name, base, bound, goal, limits", [
+        (*case, goal, limits)
+        for case in SYMMETRY_CASES for goal in sorted(GOALS)
+        for limits in ({}, {"solution_cap": 1}, {"solution_cap": 5})
+        if (case[0], goal, limits) != ("barnette", "unimodular", {})
+    ])
+    def test_matches_the_unshared_loop(self, name, base, bound, goal, limits):
+        structure, orientation, _ = fixture_case(name)
+        config = SearchConfig(base, bound=bound, goal=goal, **limits)
+        assert search(structure, orientation, config) == \
+            unshared_search(structure, orientation, config)
+
+    @pytest.mark.parametrize("goal", sorted(GOALS))
+    @pytest.mark.parametrize("name, base, bound", SYMMETRY_CASES)
+    def test_node_budgets_match_the_unshared_loop(self, name, base, bound, goal):
+        # budgets that cut the candidate list (count - 2; count - 1, where it
+        # holds budget + 1 vectors), leave it whole (count, count + 1), and
+        # stop at 16 points through the first 8,000 nodes
+        structure, orientation, _ = fixture_case(name)
+        count = len(candidate_vectors(len(base), bound))
+        budgets = {count - 2, count - 1, count, count + 1}
+        budgets.update(range(0, 8000, 500))
+        for budget in sorted(budgets):
+            config = SearchConfig(base, bound=bound, goal=goal, node_budget=budget)
+            assert search(structure, orientation, config) == \
+                unshared_search(structure, orientation, config), budget
+
+    @pytest.mark.parametrize("goal", sorted(GOALS))
+    @pytest.mark.parametrize("name", ["square", "pentagon"])
+    def test_every_budget_matches_the_unshared_loop(self, name, goal):
+        structure, orientation, _ = fixture_case(name)
+        whole = search(structure, orientation, SearchConfig((1, 2), goal=goal))
+        for budget in range(whole.nodes + 2):
+            config = SearchConfig((1, 2), goal=goal, node_budget=budget)
+            assert search(structure, orientation, config) == \
+                unshared_search(structure, orientation, config), budget

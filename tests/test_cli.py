@@ -754,7 +754,7 @@ class TestDispatchedParse:
 
     def test_cases_cover_both_outcomes(self, capsys):
         outcomes = [parse_outcome(capsys, cli._parse_args, argv) for argv in PARSE_ARGVS]
-        assert sum(o[0] == "parsed" for o in outcomes) == 46
+        assert sum(o[0] == "parsed" for o in outcomes) == 48
         errors = {" ".join(argv): o for argv, o in zip(PARSE_ARGVS, outcomes) if o[0] == "exit"}
         assert errors["gale --n 7 --bogus"][3].startswith("usage: qtoric [-h]")
         assert "qtoric: error: unrecognized arguments: --bogus" in errors["gale --n 7 --bogus"][3]
